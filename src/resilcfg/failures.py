@@ -19,6 +19,7 @@ from .model import (
     HW_DEVICE,
     Config,
     ModelError,
+    Software,
     SystemModel,
 )
 
@@ -203,21 +204,26 @@ def _bursts_of(slots, sizes):
         yield burst
 
 
+def survives_host_loss(sw: Software) -> bool:
+    """Whether an instance keeps running through the loss of its host: the
+    software is resumable, keeps persistent state, and starts fast."""
+    return sw.resumable and sw.persis_state and sw.fast_starting
+
+
 def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     """Drop software instances whose execution cannot usefully resume.
 
-    An instance on failed hardware survives only when its software is
-    resumable, fast-starting, and keeps persistent state; a replicated
-    instance survives as long as some member is unfailed (membership is not
-    touched here -- that is a reconfiguration action).
+    An instance on failed hardware survives only when its software survives
+    host loss; a replicated instance survives as long as some member is
+    unfailed (membership is not touched here -- that is a reconfiguration
+    action).
     """
     dead = failed_hw(fs)
     if not dead:
         return cfg
 
     def survives(sw_id):
-        s = sys.sw(sw_id)
-        return s.resumable and s.persis_state and s.fast_starting
+        return survives_host_loss(sys.sw(sw_id))
 
     si = [s for s in cfg.si if s.computer not in dead or survives(s.sw)]
     rsi = [r for r in cfg.rsi
@@ -225,6 +231,48 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     if len(si) == len(cfg.si) and len(rsi) == len(cfg.rsi):
         return cfg
     return Config.make(si, rsi)
+
+
+class HostLoss:
+    """Bitmask form of ``remove_dead`` for one system.
+
+    Each computer gets a bit in ``sys.computer_ids`` order.  The loss key of
+    a configuration is (the OR of the host bits of its unreplicated
+    instances whose software does not survive host loss, the member masks
+    of its replicated instances whose software does not survive host loss).
+    ``remove_dead(cfg, fs) == cfg`` exactly when the first part misses
+    ``dead(fs)`` and every member mask keeps a bit outside it.  Replicated
+    instances always have members (``rep_inst``), and failed devices set no
+    bit, so device failures never remove anything.
+    """
+
+    def __init__(self, sys: SystemModel):
+        self.bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
+        self.fragile = frozenset(sid for sid, sw in sys.software.items()
+                                 if not survives_host_loss(sw))
+
+    def dead(self, fs: FailedSet) -> int:
+        """Bits of the failed computers of ``fs``."""
+        bits = self.bits
+        mask = 0
+        for f in fs:
+            mask |= bits.get(f.hw, 0)
+        return mask
+
+    def key(self, cfg: Config) -> tuple:
+        bits, fragile = self.bits, self.fragile
+        hosts = 0
+        for s in cfg.si:
+            if s.sw in fragile:
+                hosts |= bits[s.computer]
+        reps = []
+        for r in cfg.rsi:
+            if r.sw in fragile:
+                mask = 0
+                for c in r.computers:
+                    mask |= bits[c]
+                reps.append(mask)
+        return hosts, tuple(reps)
 
 
 def apply_failures(state: State, burst: Iterable[Failure], sys: SystemModel) -> State:

@@ -41,16 +41,45 @@ def _dump(obj, path):
 
 
 def _get(d: dict, key: str, typ, where: str, default="__required__"):
+    """Field ``key`` of ``d``, checked against ``typ``.  JSON booleans are
+    Python ints, so a boolean passes only where ``typ`` names ``bool``."""
     if key not in d:
         if default != "__required__":
             return default
         raise ModelLoadError("%s: missing field %r" % (where, key))
     val = d[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is not None and not _has_type(val, typ):
         raise ModelLoadError("%s: field %r has type %s, expected %s"
                              % (where, key, type(val).__name__,
                                 getattr(typ, "__name__", typ)))
     return val
+
+
+def _has_type(val, typ) -> bool:
+    if isinstance(val, bool):
+        return bool in (typ if isinstance(typ, tuple) else (typ,))
+    return isinstance(val, typ)
+
+
+def _objects(d: dict, key: str, where: str) -> list:
+    """Optional list field ``key`` of ``d`` whose entries are objects."""
+    items = _get(d, key, list, where, [])
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ModelLoadError("%s: entry %d of %r has type %s, expected "
+                                 "an object" % (where, i, key,
+                                                type(item).__name__))
+    return items
+
+
+def _strings(d: dict, key: str, where: str, default="__required__"):
+    """List field ``key`` of ``d`` whose entries are strings, as a set."""
+    items = _get(d, key, list, where, default)
+    for item in items:
+        if not isinstance(item, str):
+            raise ModelLoadError("%s: field %r holds %s, expected strings"
+                                 % (where, key, type(item).__name__))
+    return frozenset(items)
 
 
 # -- models -------------------------------------------------------------
@@ -73,9 +102,12 @@ def load_model(path):
 
 
 def model_from_dict(raw: dict):
+    if not isinstance(raw, dict):
+        raise ModelLoadError("model: has type %s, expected an object"
+                             % type(raw).__name__)
     system = _get(raw, "system", dict, "model")
     hw = []
-    for c in _get(system, "computers", list, "system", []):
+    for c in _objects(system, "computers", "system"):
         where = "computer %s" % c.get("id", "?")
         hw.append(Computer(
             id=_get(c, "id", str, where),
@@ -83,27 +115,27 @@ def model_from_dict(raw: dict):
             cpu_arch=_get(c, "cpuArch", str, where),
             cores=_get(c, "cores", int, where),
             ram=_get(c, "ram", int, where),
-            devices=frozenset(_get(c, "devices", list, where, [])),
+            devices=_strings(c, "devices", where, []),
             wired_nic=_get(c, "wiredNIC", bool, where, False),
             wifi_nic=_get(c, "wifiNIC", bool, where, True),
             cellular=_get(c, "cellular", bool, where, False),
-            power=frozenset(_get(c, "power", list, where, [])),
+            power=_strings(c, "power", where, []),
         ))
-    for d in _get(system, "devices", list, "system", []):
+    for d in _objects(system, "devices", "system"):
         where = "device %s" % d.get("id", "?")
         hw.append(Device(
             id=_get(d, "id", str, where),
             device_type=_get(d, "deviceType", str, where),
-            power=frozenset(_get(d, "power", list, where, [])),
+            power=_strings(d, "power", where, []),
         ))
     software = []
-    for s in _get(system, "software", list, "system", []):
+    for s in _objects(system, "software", "system"):
         where = "software %s" % s.get("id", "?")
         software.append(Software(
             id=_get(s, "id", str, where),
             fn=_get(s, "fn", str, where),
-            fn_req=frozenset(_get(s, "fnReq", list, where, [])),
-            devices=frozenset(_get(s, "devices", list, where, [])),
+            fn_req=_strings(s, "fnReq", where, []),
+            devices=_strings(s, "devices", where, []),
             cpu_arch=_get(s, "cpuArch", (str, type(None)), where, None),
             os=_get(s, "os", (str, type(None)), where, None),
             ram=_get(s, "ram", int, where, 0),
@@ -121,7 +153,7 @@ def model_from_dict(raw: dict):
             small_persis_state=_get(s, "smallPersisState", bool, where, False),
         ))
     protocols = []
-    for p in _get(system, "protocols", list, "system", []):
+    for p in _objects(system, "protocols", "system"):
         where = "protocol %s" % p.get("id", "?")
         protocols.append(RepProtocol(
             id=_get(p, "id", str, where),
@@ -129,14 +161,14 @@ def model_from_dict(raw: dict):
             active=_get(p, "active", bool, where),
             progress_q=_get(p, "progressQ", str, where),
             reconfig_q=_get(p, "reconfigQ", str, where),
-            fail_types=frozenset(_get(p, "failTypes", list, where, ["crash"])),
+            fail_types=_strings(p, "failTypes", where, ["crash"]),
         ))
     sys_model = SystemModel(hw=hw, sw=software, protocols=protocols,
                             sync=_get(system, "sync", bool, "system"))
 
     fm_raw = _get(raw, "failureModel", dict, "model")
     bounds = []
-    for b in _get(fm_raw, "bounds", list, "failureModel", []):
+    for b in _objects(fm_raw, "bounds", "failureModel"):
         bounds.append(FailBound(
             hw_type=_get(b, "hwType", str, "failure bound"),
             f_type=_get(b, "fType", str, "failure bound", "crash"),
@@ -147,7 +179,7 @@ def model_from_dict(raw: dict):
     fm = FailureModel(bounds=tuple(bounds),
                       max_simult=_get(fm_raw, "maxSimult", (int, type(None)),
                                       "failureModel", None))
-    crit = frozenset(_get(raw, "critFns", list, "model"))
+    crit = _strings(raw, "critFns", "model")
     for fn in crit:
         if fn not in sys_model.fn_providers:
             raise ModelLoadError("critical functionality %r has no provider"
@@ -328,8 +360,8 @@ def load_policy(path) -> Policy:
                              % (path, exc.lineno, exc.msg)) from None
     policy = Policy()
     for r in _get(raw, "roots", list, "policy"):
-        policy.roots.append((signature_from_obj(r["signature"]),
-                             config_from_obj(r["config"])))
+        policy.add_root(signature_from_obj(r["signature"]),
+                        config_from_obj(r["config"]))
     for e in _get(raw, "entries", list, "policy"):
         sig = signature_from_obj(e["state"]["signature"])
         fs = _fs_from_obj(e["state"]["failedSet"])

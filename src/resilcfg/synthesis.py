@@ -20,10 +20,11 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .model import Config, ModelError, SystemModel, valid_config
+from .model import CRASH, Config, ModelError, SystemModel, valid_config
 from .failures import (
     EMPTY_FS,
     FailedSet,
+    HostLoss,
     State,
     consistent,
     fs_key,
@@ -33,6 +34,7 @@ from .failures import (
 )
 from .availability import avail
 from .reconfig import (
+    ActionRejected,
     NoWitnessError,
     apply_action,
     can_reconfigure,
@@ -73,19 +75,24 @@ class PolicyEntry(NamedTuple):
 @dataclass
 class Policy:
     """Reconfiguration policy: per (state signature, failed set, burst), the
-    action sequence restoring a resilient configuration."""
+    action sequence restoring a resilient configuration.  Roots are added
+    with ``add_root`` so that ``root_config`` finds them."""
 
     roots: list = field(default_factory=list)  # (signature, root Config)
     entries: dict = field(default_factory=dict)
+    # signature -> root Config of its first root; kept by ``add_root``
+    _root_index: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def add_root(self, sig, cfg: Config):
+        self.roots.append((sig, cfg))
+        self._root_index.setdefault(sig, cfg)
 
     def entry(self, sig, fs, burst) -> Optional[PolicyEntry]:
         return self.entries.get((sig, fs_key(fs), fs_key(burst)))
 
     def root_config(self, sig) -> Optional[Config]:
-        for s, cfg in self.roots:
-            if s == sig:
-                return cfg
-        return None
+        return self._root_index.get(sig)
 
 
 class _MemoEntry(NamedTuple):
@@ -137,7 +144,8 @@ class Synthesizer:
         self.use_worst_bursts = use_worst_bursts
         self._built = False
         self._memo = {}
-        self._state_cfgs = {}
+        self._host_loss = HostLoss(sys)
+        self._loss_groups = {}
         self._bursts = {}
         self._candidate_lists = {}
         self._static_canrun = {}
@@ -176,29 +184,41 @@ class Synthesizer:
 
     # -- state representatives ---------------------------------------------
 
-    def _is_state_cfg(self, cfg: Config, fs: FailedSet) -> bool:
-        return remove_dead(cfg, fs, self.sys) == cfg
-
     def state_config(self, node, fs: FailedSet) -> Optional[Config]:
         """The deterministic concrete configuration explored for ``node``.
 
         With full quotienting a node is a signature and its state
         configuration is the first class member that carries no dead
         instances under ``fs``; otherwise the node is the configuration
-        itself.
+        itself, if it carries none.  Whether a member carries dead
+        instances depends only on its ``HostLoss`` key, so the scan visits
+        the first member of each key group instead of every member.
         """
-        if self.quotient != "full":
-            return node if self._is_state_cfg(node, fs) else None
-        key = (node, fs)
-        if key in self._state_cfgs:
-            return self._state_cfgs[key]
-        found = None
-        for member in self.all_classes[node]:
-            if self._is_state_cfg(member, fs):
-                found = member
-                break
-        self._state_cfgs[key] = found
-        return found
+        groups = self._loss_groups.get(node)
+        if groups is None:
+            groups = self._index_node(node)
+        dead = self._host_loss.dead(fs)
+        for (hosts, reps), member in groups:
+            if hosts & dead:
+                continue
+            for mask in reps:
+                if not mask & ~dead:
+                    break
+            else:
+                return member
+        return None
+
+    def _index_node(self, node) -> tuple:
+        """((loss key, first member with that key), ...) in member order."""
+        if self.quotient == "full":
+            members = self.all_classes[node]
+        else:
+            members = (node,)
+        firsts = {}
+        for member in members:
+            firsts.setdefault(self._host_loss.key(member), member)
+        groups = self._loss_groups[node] = tuple(firsts.items())
+        return groups
 
     def _sig_of_node(self, node) -> CanonicalSignature:
         return node if self.quotient == "full" else signature(node, self.sys)
@@ -225,7 +245,7 @@ class Synthesizer:
         else:
             out = [(cfg, cfg, _rsi_pairs(cfg), self._pinned_si(cfg))
                    for cfg in self._cfg_order
-                   if self._is_state_cfg(cfg, fs)]
+                   if self.state_config(cfg, fs) is not None]
         self._candidate_lists[fs] = out
         return out
 
@@ -448,7 +468,7 @@ class Synthesizer:
         for node in accepted_roots:
             sig = self._sig_of_node(node)
             if policy.root_config(sig) is None:
-                policy.roots.append((sig, self.state_config(node, EMPTY_FS)))
+                policy.add_root(sig, self.state_config(node, EMPTY_FS))
         stack = [(node, EMPTY_FS) for node in accepted_roots]
         done = set()
         while stack:
@@ -518,32 +538,55 @@ def replay_schedule(policy: Policy, root_sig, bursts, sys: SystemModel,
                     req: ResilienceRequirement) -> State:
     """Apply a burst schedule from a policy root, verifying the policy's
     promises at every step; returns the final state."""
+    state = _replay_root(policy, root_sig, sys, req)
+    sig = root_sig
+    for burst in bursts:
+        sig, state = _replay_step(policy, sig, state, frozenset(burst),
+                                  sys, req)
+    return state
+
+
+def _replay_root(policy: Policy, root_sig, sys: SystemModel,
+                 req: ResilienceRequirement) -> State:
     cfg = policy.root_config(root_sig)
     if cfg is None:
         raise ReplayError("unknown policy root")
-    state = State(cfg, EMPTY_FS)
-    if not avail(req.crit_fns, state.cfg, state.fs, sys):
+    if not avail(req.crit_fns, cfg, EMPTY_FS, sys):
         raise ReplayError("critical functionality unavailable at the root")
-    sig = root_sig
-    for burst in bursts:
-        burst = frozenset(burst)
-        fs2 = state.fs | burst
-        entry = policy.entry(sig, state.fs, burst)
-        if entry is None:
-            raise ReplayError("no policy entry for burst %s at %s"
-                              % (sorted(burst), sorted(state.fs)))
-        st = State(remove_dead(state.cfg, fs2, sys), fs2)
-        for act in entry.actions:
-            st = apply_action(st, act, sys)  # ActionRejected propagates
-        if st.cfg != entry.target_cfg:
-            raise ReplayError("action sequence did not produce the "
-                              "recorded target configuration")
-        if not avail(req.crit_fns, st.cfg, st.fs, sys):
-            raise ReplayError("critical functionality unavailable after "
-                              "reconfiguration")
-        state = st
-        sig = entry.target_sig
-    return state
+    return State(cfg, EMPTY_FS)
+
+
+def _replay_step(policy: Policy, sig, state: State, burst: FailedSet,
+                 sys: SystemModel, req: ResilienceRequirement):
+    """One burst from the state ``sig``/``state``: look up the entry, apply
+    its actions and check its promises; returns (target signature, state).
+    The returned state holds the entry's own target configuration."""
+    fs2 = state.fs | burst
+    entry = policy.entry(sig, state.fs, burst)
+    if entry is None:
+        raise ReplayError("no policy entry for " + _where(burst, state.fs))
+    st = State(remove_dead(state.cfg, fs2, sys), fs2)
+    for act in entry.actions:
+        try:
+            st = apply_action(st, act, sys)
+        except ActionRejected as exc:
+            raise ReplayError("%s, on %s"
+                              % (exc, _where(burst, state.fs))) from None
+    if st.cfg != entry.target_cfg:
+        raise ReplayError("action sequence did not produce the "
+                          "recorded target configuration")
+    if not avail(req.crit_fns, st.cfg, st.fs, sys):
+        raise ReplayError("critical functionality unavailable after "
+                          "reconfiguration")
+    return entry.target_sig, State(entry.target_cfg, fs2)
+
+
+def _where(burst: FailedSet, fs: FailedSet) -> str:
+    def names(failures):
+        return [f.hw if f.ftype == CRASH else "%s (%s)" % f
+                for f in fs_key(failures)]
+
+    return "burst %s at failed set %s" % (names(burst), names(fs))
 
 
 def worst_burst_schedules(req: ResilienceRequirement, sys: SystemModel,
@@ -563,10 +606,34 @@ def worst_burst_schedules(req: ResilienceRequirement, sys: SystemModel,
 def verify_policy(policy: Policy, sys: SystemModel,
                   req: ResilienceRequirement) -> int:
     """Replay every worst-case schedule from every root; returns the number
-    of schedules verified.  Raises ReplayError on any gap."""
+    of schedules verified.  Raises ReplayError on any gap.
+
+    The schedules of a root form a tree of bursts, which is walked once in
+    the order ``worst_burst_schedules`` lists the schedules, so the first
+    gap raised is the one a per-schedule ``replay_schedule`` loop raises
+    first.  A state reached again, from this root or an earlier one, is
+    not walked again.
+    """
+    if not worst_next_failed_sets(req.fm, EMPTY_FS, sys):
+        return 0  # no schedule, so not even a root is replayed
+    memo = {}  # (signature, configuration, failed set) -> schedules below
     n = 0
     for sig, _ in policy.roots:
-        for schedule in worst_burst_schedules(req, sys):
-            replay_schedule(policy, sig, schedule, sys, req)
-            n += 1
+        state = _replay_root(policy, sig, sys, req)
+        n += _verify_below(policy, sig, state, sys, req, memo)
+    return n
+
+
+def _verify_below(policy: Policy, sig, state: State, sys: SystemModel,
+                  req: ResilienceRequirement, memo: dict) -> int:
+    key = (sig, state.cfg, state.fs)
+    n = memo.get(key)
+    if n is not None:
+        return n
+    n = 0
+    for fs2 in worst_next_failed_sets(req.fm, state.fs, sys):
+        sig2, state2 = _replay_step(policy, sig, state, fs2 - state.fs,
+                                    sys, req)
+        n += 1 + _verify_below(policy, sig2, state2, sys, req, memo)
+    memo[key] = n
     return n

@@ -166,7 +166,7 @@ def random_model(rng: random.Random, max_computers=3, max_software=3,
     fm = FailureModel(bounds=tuple(bounds), max_simult=g)
 
     provided = {s.fn for s in sw}
-    crit = frozenset(f for f in provided if rng.random() < 0.6)
+    crit = frozenset(f for f in sorted(provided) if rng.random() < 0.6)
     if not crit:
         crit = frozenset({rng.choice(sorted(provided))})
     return sys, ResilienceRequirement(fm=fm, crit_fns=crit)

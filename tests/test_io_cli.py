@@ -189,10 +189,20 @@ def test_cli_replay_schedule(tmp_path):
     sched.write_text(json.dumps([["c0"]]))
     assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
                  "--policy", str(pol), "--schedule", str(sched)]) == 0
+    # A second crash exceeds tiny's failure model (n = 1): an input error,
+    # not a policy gap.
     bad = tmp_path / "bad_sched.json"
     bad.write_text(json.dumps([["c0"], ["c1"]]))
     assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
-                 "--policy", str(pol), "--schedule", str(bad)]) == 1
+                 "--policy", str(pol), "--schedule", str(bad)]) == 2
+    # A policy without the entry for the scheduled burst is a gap.
+    raw = json.loads(pol.read_text())
+    raw["entries"] = [e for e in raw["entries"]
+                      if e["burst"] != [["c0", "crash"]]]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps(raw))
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(gap), "--schedule", str(sched)]) == 1
 
 
 def test_cli_replay_exhaustive(tmp_path):
@@ -209,3 +219,105 @@ def test_cli_entry_point_runs():
          str(FIXTURES / "example1.json")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def _tiny_policy(tmp_path):
+    pol = tmp_path / "policy.json"
+    assert main(["solve", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy-out", str(pol)]) == 0
+    return pol
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ([["ghost"]], "unknown hardware 'ghost'"),
+    ([[7]], "unknown hardware 7"),
+    ([[]], "burst 1 is empty"),
+    ([["c0"], ["c0"]], "already failed"),
+    ([["c0"], ["c1"]], "exceeds the failure model"),
+    ([["c0", "c1"]], "exceeds the failure model"),
+    ({"c0": 1}, "list of bursts"),
+])
+def test_cli_replay_schedule_outside_the_model_is_an_input_error(
+        tmp_path, capsys, schedule, message):
+    pol = _tiny_policy(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(schedule))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--schedule", str(sched)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def _reject_first_action(pol):
+    """Make the first action of every entry name an instance that is not
+    there, so applying it raises ``ActionRejected``."""
+    raw = json.loads(pol.read_text())
+    for e in raw["entries"]:
+        e["actions"][0] = {"type": "stop", "sw": "LOC", "computer": "nowhere"}
+    pol.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("how", ["schedule", "exhaustive"])
+def test_cli_replay_rejected_action_is_one_line(tmp_path, capsys, how):
+    pol = _tiny_policy(tmp_path)
+    _reject_first_action(pol)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps([["c0"]]))
+    args = (["--schedule", str(sched)] if how == "schedule"
+            else ["--exhaustive"])
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay failed: stop(LOC@nowhere) rejected: "
+                          "instance not present, on burst ['c0'] at failed "
+                          "set []")
+    assert err.count("\n") == 1
+
+
+def _tiny_raw():
+    return modelio.model_to_dict(*fixtures.tiny())
+
+
+@pytest.mark.parametrize("section, key", [
+    ("system", "computers"), ("system", "devices"), ("system", "software"),
+    ("system", "protocols"), ("failureModel", "bounds"),
+])
+def test_load_rejects_non_object_entries(tmp_path, capsys, section, key):
+    raw = _tiny_raw()
+    raw[section][key] = [7]
+    with pytest.raises(ModelLoadError, match="entry 0 of '%s'" % key):
+        modelio.model_from_dict(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where, key", [
+    (("system", "computers", 0), "cores"),
+    (("system", "computers", 0), "ram"),
+    (("system", "software", 0), "cores"),
+    (("system", "software", 0), "ram"),
+    (("failureModel", "bounds", 0), "n"),
+    (("failureModel", "bounds", 0), "maxSimult"),
+    (("failureModel",), "maxSimult"),
+])
+def test_load_rejects_booleans_for_integers(where, key):
+    raw = _tiny_raw()
+    obj = raw
+    for step in where:
+        obj = obj[step]
+    obj[key] = True
+    with pytest.raises(ModelLoadError, match="field '%s' has type bool" % key):
+        modelio.model_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw", [
+    7, [], {"system": {"computers": [{"id": "c0", "devices": [{}]}]}},
+    {"system": {"sync": True}, "failureModel": {}, "critFns": [["loc"]]},
+])
+def test_load_rejects_other_malformed_models(raw):
+    with pytest.raises(ModelLoadError):
+        modelio.model_from_dict(raw)

@@ -1,5 +1,7 @@
 """Resilience predicates, the solver, quality, and policies."""
 
+import random
+
 import pytest
 
 from resilcfg import (
@@ -7,23 +9,31 @@ from resilcfg import (
     FailBound,
     FailureModel,
     ModelError,
+    NoWitnessError,
+    Policy,
     Quality,
     ResilienceRequirement,
     SwInst,
     Synthesizer,
     crash,
+    derive_actions,
+    fs_key,
+    next_failed_sets,
     one_resilient,
     quality,
+    remove_dead,
     rep_inst,
     replay_schedule,
     resilient,
     solve_best_resilient,
     solve_resilient,
     verify_policy,
+    worst_burst_schedules,
 )
 from resilcfg import fixtures
-from resilcfg.synthesis import ReplayError
-from conftest import FS0, tiny_config
+from resilcfg.failures import failed_hw, survives_host_loss
+from resilcfg.synthesis import PolicyEntry, ReplayError
+from conftest import FS0, random_model, tiny_config
 
 
 def test_quality_empty(tiny_sys):
@@ -103,6 +113,16 @@ def test_policy_has_entries_for_both_bursts(tiny_sys, tiny_req):
     assert verify_policy(res.policy, tiny_sys, tiny_req) == 2
 
 
+def test_policy_root_config_finds_the_first_root_of_a_signature():
+    policy = Policy()
+    a, b = tiny_config(), tiny_config(loc_host="c1")
+    policy.add_root("sig", a)
+    policy.add_root("sig", b)
+    assert policy.roots == [("sig", a), ("sig", b)]
+    assert policy.root_config("sig") is a
+    assert policy.root_config("other") is None
+
+
 def test_policy_replay_detects_missing_entry(tiny_sys, tiny_req):
     res = solve_best_resilient(tiny_sys, tiny_req)
     sig, _ = res.policy.roots[0]
@@ -129,10 +149,6 @@ def test_memo_determinism(tiny_sys, tiny_req):
 def test_policies_replay_on_random_models():
     """Every policy emitted for a random model replays cleanly over every
     worst-case burst schedule."""
-    import random
-
-    from conftest import random_model
-
     rng = random.Random(777)
     verified = 0
     for _ in range(40):
@@ -150,3 +166,166 @@ def test_quality_of_example1_best_root():
     assert q == Quality(5, 6)
     qualities = [x[1] for x in res.resilient]
     assert qualities == sorted(qualities, key=Quality.sort_key)
+
+
+# -- state representatives and the verify walk ------------------------------
+
+
+def _reachable_failed_sets(req, sys):
+    """Every failed set some chain of bursts reaches from the empty one."""
+    seen = {FS0}
+    frontier = [FS0]
+    while frontier:
+        fs = frontier.pop()
+        for fs2 in next_failed_sets(req.fm, fs, sys):
+            if fs2 not in seen:
+                seen.add(fs2)
+                frontier.append(fs2)
+    return sorted(seen, key=lambda fs: sorted(fs))
+
+
+def test_state_config_is_the_first_member_without_dead_instances():
+    """The loss-key index picks the member a scan with ``remove_dead``
+    picks, in every quotient mode and under every reachable failed set."""
+    rng = random.Random(4242)
+    seen = {"device only": 0, "replicas lost, survives": 0,
+            "replicas lost, dropped": 0, "no representative": 0}
+    for _ in range(200):
+        sys, req = random_model(rng)
+        failed_sets = _reachable_failed_sets(req, sys)
+        for fs in failed_sets:
+            if fs and not failed_hw(fs) & set(sys.computers):
+                seen["device only"] += 1
+        for quotient in ("off", "partial", "full"):
+            syn = Synthesizer(sys, req, quotient=quotient)
+            syn.build()
+            if quotient == "full":
+                nodes = [(sig, members)
+                         for sig, members in syn.all_classes.items()]
+            else:
+                nodes = [(cfg, [cfg]) for cfg in syn.all_cfgs]
+            for fs in failed_sets:
+                dead = failed_hw(fs)
+                for node, members in nodes:
+                    expected = next((m for m in members
+                                     if remove_dead(m, fs, sys) == m), None)
+                    assert syn.state_config(node, fs) is expected
+                    if expected is None:
+                        seen["no representative"] += 1
+                    if quotient != "full":
+                        continue
+                    for m in members:
+                        for r in m.rsi:
+                            if set(r.computers) <= dead:
+                                kept = survives_host_loss(sys.sw(r.sw))
+                                seen["replicas lost, survives" if kept
+                                     else "replicas lost, dropped"] += 1
+    assert all(seen.values()), seen
+
+
+def test_verify_policy_counts_every_schedule_of_every_root():
+    rng = random.Random(99)
+    checked = 0
+    for _ in range(40):
+        sys, req = random_model(rng, max_computers=3, max_software=2)
+        res = solve_best_resilient(sys, req)
+        per_root = len(list(worst_burst_schedules(req, sys)))
+        assert (verify_policy(res.policy, sys, req)
+                == len(res.policy.roots) * per_root)
+        checked += bool(res.policy.roots) and per_root > 1
+    assert checked > 5
+
+
+def _stepwise(builder, scale):
+    """A driving model whose ``scale - 1`` crashes arrive one per burst."""
+    sys, req = builder(scale)
+    fm = FailureModel(bounds=(FailBound(hw_type="Computer", n=scale - 1,
+                                        max_simult=1),), max_simult=1)
+    return sys, ResilienceRequirement(fm=fm, crit_fns=req.crit_fns)
+
+
+def _replay_each(policy, sys, req):
+    """The number of worst-case schedules replayed one by one from every
+    root, or the first error."""
+    n = 0
+    for sig, _ in policy.roots:
+        for schedule in worst_burst_schedules(req, sys):
+            try:
+                replay_schedule(policy, sig, schedule, sys, req)
+            except ReplayError as exc:
+                return str(exc)
+            n += 1
+    return n
+
+
+def test_a_corrupted_deep_entry_fails_verify_and_replay():
+    """An entry of a state that only the second burst reaches breaks both
+    the verify walk and a replay loop over single schedules, with the same
+    first error."""
+    sys, req = _stepwise(fixtures.autonomous_driving_phone, 3)
+    policy = solve_best_resilient(sys, req).policy
+    per_root = len(list(worst_burst_schedules(req, sys)))
+    assert per_root == 4 + 4 * 3  # one crash of four computers, then another
+    assert verify_policy(policy, sys, req) == len(policy.roots) * per_root
+    key = max(k for k in policy.entries
+              if k[1] and policy.entries[k].actions)
+    entry = policy.entries[key]
+    policy.entries[key] = PolicyEntry(entry.target_sig, entry.target_cfg,
+                                      entry.actions[:-1])
+
+    first = _replay_each(policy, sys, req)
+    assert isinstance(first, str)
+    with pytest.raises(ReplayError) as info:
+        verify_policy(policy, sys, req)
+    assert str(info.value) == first
+
+
+@pytest.mark.parametrize("quotient", ["off", "partial", "full"])
+def test_verify_policy_agrees_with_replaying_each_schedule(quotient):
+    """Count or first error, whatever the policy; with ``off`` and
+    ``partial`` a class's states may differ in their configuration."""
+    models = [builder(2) for builder in (fixtures.autonomous_driving_laptop,
+                                         fixtures.autonomous_driving_phone)]
+    models += [_stepwise(fixtures.autonomous_driving_phone, 3)]
+    rng = random.Random(5)
+    models += [random_model(rng, max_computers=3, max_software=2)
+               for _ in range(30)]
+    for sys, req in models:
+        policy = Synthesizer(sys, req, quotient=quotient).solve().policy
+        try:
+            walked = verify_policy(policy, sys, req)
+        except ReplayError as exc:
+            walked = str(exc)
+        assert walked == _replay_each(policy, sys, req)
+
+
+def test_verify_policy_tells_apart_states_of_one_class():
+    """A state reached again with its signature and failed set but another
+    configuration is walked again: the entries below it were derived for
+    the configuration the search explored and need not apply to it."""
+    sys, req = _stepwise(fixtures.autonomous_driving_phone, 3)
+    syn = Synthesizer(sys, req)
+    policy = syn.solve().policy
+    burst = frozenset({crash("c2")})
+    sig, cfg = policy.roots[-1]
+    key = (sig, (), fs_key(burst))
+    entry = policy.entries[key]
+    assert any(policy.entries[(s, (), fs_key(burst))].target_sig
+               == entry.target_sig for s, _ in policy.roots[:-1])
+    src = remove_dead(cfg, burst, sys)
+    for other in syn.all_classes[entry.target_sig]:
+        if (other == entry.target_cfg
+                or remove_dead(other, burst, sys) != other):
+            continue
+        try:
+            actions = derive_actions(src, other, burst, sys)
+        except NoWitnessError:
+            continue
+        break
+    policy.entries[key] = PolicyEntry(entry.target_sig, other, tuple(actions))
+
+    first = _replay_each(policy, sys, req)
+    assert isinstance(first, str)
+    with pytest.raises(ReplayError) as info:
+        verify_policy(policy, sys, req)
+    assert str(info.value) == first
