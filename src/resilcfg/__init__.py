@@ -24,7 +24,6 @@ from .model import (
     rep_inst,
     resources_ok,
     run,
-    stateful,
     valid_config,
 )
 from .failures import (
@@ -62,7 +61,6 @@ from .enumeration import (
     generate_all_configs,
     generate_init_configs,
     max_simult_fail,
-    requires_replication,
 )
 from .quotient import (
     CanonicalSignature,

@@ -105,8 +105,14 @@ def _cmd_replay(args) -> int:
     if not args.schedule:
         raise modelio.ModelLoadError("replay needs --schedule or --exhaustive")
     bursts = _read_schedule(args.schedule, sys_model, req)
-    roots = (policy.roots if args.root is None
-             else [policy.roots[args.root]])
+    roots = policy.roots
+    if args.root is not None:
+        if not 0 <= args.root < len(roots):
+            raise modelio.ModelLoadError(
+                "--root %d is out of range: %s" % (args.root, (
+                    "valid roots are 0 to %d" % (len(roots) - 1)
+                    if roots else "the policy has no roots")))
+        roots = [roots[args.root]]
     for sig, cfg in roots:
         final = replay_schedule(policy, sig, bursts, sys_model, req)
         print("root %s: ok, final failed set %s"
@@ -154,7 +160,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_replay(args)
-    except (ModelError, OSError, json.JSONDecodeError, IndexError) as exc:
+    except (ModelError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return EXIT_INPUT_ERROR
     except ReplayError as exc:

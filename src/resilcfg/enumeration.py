@@ -26,7 +26,6 @@ from .model import (
     SystemModel,
     compatible,
     rep_inst,
-    stateful,
 )
 from .failures import CRASH, EMPTY_FS, FailureModel
 from .reconfig import can_run
@@ -51,11 +50,6 @@ def critical_software(sys: SystemModel, crit_fns) -> frozenset:
         if len(providers) == 1:
             out.add(providers[0])
     return frozenset(out)
-
-
-def requires_replication(sw: Software) -> bool:
-    """Starting a fresh instance after a failure is not good enough."""
-    return sw.persis_state or not sw.fast_starting or not sw.resumable
 
 
 def max_simult_fail(fm: FailureModel) -> int:
@@ -106,7 +100,7 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
     computers = [c.id for c in sys.computers.values() if compatible(sw, c)]
     single = sw.single_instance or sw.remote_use
 
-    if critical and requires_replication(sw) and stateful(sw):
+    if critical and sw.stateful:
         # A sole critical provider with state must be replicated;
         # an unreplicated instance would be lost with its host.
         protos = _protocols_for(sw, sys)
@@ -122,7 +116,7 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
             si_sets.append(tuple(SwInst(sw.id, h) for h in hosts))
 
     rsi_opts = [None]
-    if stateful(sw):
+    if sw.stateful:
         protos = _protocols_for(sw, sys)
         rsi_opts += _rsi_options(sw, protos, computers,
                                  lambda p: range(1, len(computers) + 1))
@@ -219,17 +213,7 @@ def _init_relevant(cfg: Config, sys: SystemModel, static_cache: dict) -> bool:
                 return False
         sw = sys.sw(r.sw)
         for m in r.computers:
-            if not _member_can_run(m, sw, cfg, sys, static_cache):
+            if not can_run(m, sw, cfg, EMPTY_FS, sys,
+                           static_cache=static_cache):
                 return False
     return True
-
-
-def _member_can_run(m, sw, cfg, sys, static_cache):
-    if sw.fn_req:
-        return can_run(m, sw, cfg, EMPTY_FS, sys)
-    key = (sw.id, m)
-    hit = static_cache.get(key)
-    if hit is None:
-        hit = can_run(m, sw, cfg, EMPTY_FS, sys)
-        static_cache[key] = hit
-    return hit

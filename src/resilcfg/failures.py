@@ -19,7 +19,6 @@ from .model import (
     HW_DEVICE,
     Config,
     ModelError,
-    Software,
     SystemModel,
 )
 
@@ -204,26 +203,20 @@ def _bursts_of(slots, sizes):
         yield burst
 
 
-def survives_host_loss(sw: Software) -> bool:
-    """Whether an instance keeps running through the loss of its host: the
-    software is resumable, keeps persistent state, and starts fast."""
-    return sw.resumable and sw.persis_state and sw.fast_starting
-
-
 def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     """Drop software instances whose execution cannot usefully resume.
 
-    An instance on failed hardware survives only when its software survives
-    host loss; a replicated instance survives as long as some member is
-    unfailed (membership is not touched here -- that is a reconfiguration
-    action).
+    An instance on failed hardware survives only when its software
+    ``survives_host_loss``; a replicated instance survives as long as some
+    member is unfailed (membership is not touched here -- that is a
+    reconfiguration action).
     """
     dead = failed_hw(fs)
     if not dead:
         return cfg
 
     def survives(sw_id):
-        return survives_host_loss(sys.sw(sw_id))
+        return sys.sw(sw_id).survives_host_loss
 
     si = [s for s in cfg.si if s.computer not in dead or survives(s.sw)]
     rsi = [r for r in cfg.rsi
@@ -249,7 +242,7 @@ class HostLoss:
     def __init__(self, sys: SystemModel):
         self.bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
         self.fragile = frozenset(sid for sid, sw in sys.software.items()
-                                 if not survives_host_loss(sw))
+                                 if not sw.survives_host_loss)
 
     def dead(self, fs: FailedSet) -> int:
         """Bits of the failed computers of ``fs``."""

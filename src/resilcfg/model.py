@@ -9,7 +9,7 @@ structural equality is set equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 CRASH = "crash"
@@ -94,6 +94,21 @@ class Software:
     lost one (``fast_starting``/``resumable``/``persis_state``), whether a
     running instance can move (``migratable``), and whether the component can
     serve consumers on other computers (``remote_use``).
+
+    The recovery capabilities derived from them are computed once, here, and
+    read everywhere else:
+
+    * ``startable``: a fresh instance can replace a lost one (fast-starting,
+      stateless, resumable);
+    * ``movable``: a running instance can migrate (migratable, with no or
+      small persistent state);
+    * ``members_addable``: replica members can be added (fast-starting, with
+      no or small persistent state);
+    * ``survives_host_loss``: an instance keeps running through the loss of
+      its host (resumable, persistent state, fast-starting);
+    * ``stateful``: the component carries state that replication must
+      protect (persistent state, or not resumable); stateful software is
+      never startable.
     """
 
     id: str
@@ -115,6 +130,11 @@ class Software:
     resumable: bool = False
     single_instance: bool = False
     small_persis_state: bool = False
+    startable: bool = field(init=False, repr=False, compare=False)
+    movable: bool = field(init=False, repr=False, compare=False)
+    members_addable: bool = field(init=False, repr=False, compare=False)
+    survives_host_loss: bool = field(init=False, repr=False, compare=False)
+    stateful: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cores < 1:
@@ -129,11 +149,16 @@ class Software:
             raise ModelError(
                 "software %s: persistent state requires single_instance" % self.id
             )
-
-
-def stateful(sw: Software) -> bool:
-    """Whether the component carries state that replication must protect."""
-    return sw.persis_state or not sw.resumable
+        small_state = not self.persis_state or self.small_persis_state
+        for name, value in (
+                ("startable", self.fast_starting and not self.persis_state
+                 and self.resumable),
+                ("movable", self.migratable and small_state),
+                ("members_addable", self.fast_starting and small_state),
+                ("survives_host_loss", self.resumable and self.persis_state
+                 and self.fast_starting),
+                ("stateful", self.persis_state or not self.resumable)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -444,7 +469,7 @@ def valid_config(cfg: Config, sys: SystemModel) -> bool:
     for r in cfg.rsi:
         sw = sys.sw(r.sw)
         proto = sys.protocol(r.protocol)
-        if not stateful(sw):
+        if not sw.stateful:
             return False
         if proto.active:
             if r.primary is not None:

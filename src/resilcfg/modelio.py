@@ -40,11 +40,28 @@ def _dump(obj, path):
         fh.write("\n")
 
 
-def _get(d: dict, key: str, typ, where: str, default="__required__"):
+_REQUIRED = "__required__"
+
+
+def _read_json(path):
+    """The JSON value stored in the file ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ModelLoadError("cannot read %s: %s" % (path, exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ModelLoadError("%s: line %d column %d: %s"
+                             % (path, exc.lineno, exc.colno, exc.msg)) from None
+    except ValueError as exc:  # not UTF-8, or an integer too long to read
+        raise ModelLoadError("%s: %s" % (path, exc)) from None
+
+
+def _get(d: dict, key: str, typ, where: str, default=_REQUIRED):
     """Field ``key`` of ``d``, checked against ``typ``.  JSON booleans are
     Python ints, so a boolean passes only where ``typ`` names ``bool``."""
     if key not in d:
-        if default != "__required__":
+        if default != _REQUIRED:
             return default
         raise ModelLoadError("%s: missing field %r" % (where, key))
     val = d[key]
@@ -61,9 +78,10 @@ def _has_type(val, typ) -> bool:
     return isinstance(val, typ)
 
 
-def _objects(d: dict, key: str, where: str) -> list:
-    """Optional list field ``key`` of ``d`` whose entries are objects."""
-    items = _get(d, key, list, where, [])
+def _objects(d: dict, key: str, where: str, default=()) -> list:
+    """List field ``key`` of ``d`` whose entries are objects; optional
+    unless ``default`` is ``_REQUIRED``."""
+    items = _get(d, key, list, where, default)
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ModelLoadError("%s: entry %d of %r has type %s, expected "
@@ -72,14 +90,54 @@ def _objects(d: dict, key: str, where: str) -> list:
     return items
 
 
-def _strings(d: dict, key: str, where: str, default="__required__"):
-    """List field ``key`` of ``d`` whose entries are strings, as a set."""
+def _str_tuple(d: dict, key: str, where: str, default=_REQUIRED) -> tuple:
+    """List field ``key`` of ``d`` whose entries are strings, as a tuple."""
     items = _get(d, key, list, where, default)
     for item in items:
         if not isinstance(item, str):
             raise ModelLoadError("%s: field %r holds %s, expected strings"
                                  % (where, key, type(item).__name__))
-    return frozenset(items)
+    return tuple(items)
+
+
+def _strings(d: dict, key: str, where: str, default=_REQUIRED) -> frozenset:
+    """List field ``key`` of ``d`` whose entries are strings, as a set."""
+    return frozenset(_str_tuple(d, key, where, default))
+
+
+# Row shapes give, per position, the exact JSON types allowed there, or
+# ``_STRS`` for a list of strings, which is read as a tuple.
+_STRS = "a list of strings"
+_STR = (str,)
+_OPT_STR = (str, type(None))
+
+
+def _rows(d: dict, key: str, shape: tuple, where: str) -> list:
+    """List field ``key`` of ``d`` whose entries are lists that match
+    ``shape`` position by position, as tuples."""
+    rows = []
+    for i, row in enumerate(_get(d, key, list, where)):
+        if type(row) is not list or len(row) != len(shape):
+            got = ("%d entries" % len(row) if type(row) is list
+                   else "type %s" % type(row).__name__)
+            raise ModelLoadError("%s: entry %d of %r has %s, expected a "
+                                 "list of %d entries"
+                                 % (where, i, key, got, len(shape)))
+        vals = []
+        for val, typ in zip(row, shape):
+            if typ is _STRS:
+                ok = type(val) is list and all(type(v) is str for v in val)
+            else:
+                ok = type(val) in typ
+            if not ok:
+                raise ModelLoadError(
+                    "%s: entry %d of %r holds %s where %s is expected"
+                    % (where, i, key, type(val).__name__, _STRS
+                       if typ is _STRS else " or ".join(t.__name__
+                                                        for t in typ)))
+            vals.append(tuple(val) if typ is _STRS else val)
+        rows.append(tuple(vals))
+    return rows
 
 
 # -- models -------------------------------------------------------------
@@ -87,14 +145,7 @@ def _strings(d: dict, key: str, where: str, default="__required__"):
 
 def load_model(path):
     """Read a model file; returns (system, resilience requirement)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ModelLoadError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ModelLoadError("%s: line %d column %d: %s"
-                             % (path, exc.lineno, exc.colno, exc.msg)) from None
+    raw = _read_json(path)
     try:
         return model_from_dict(raw)
     except ModelError as exc:
@@ -254,11 +305,14 @@ def config_to_obj(cfg: Config) -> dict:
     }
 
 
+_SI_ROW = (_STR, _STR)  # software id, computer id
+# software id, protocol id, member computers, primary
+_RSI_ROW = (_STR, _STR, _STRS, _OPT_STR)
+
+
 def config_from_obj(obj: dict) -> Config:
-    si = [SwInst(sw, c) for sw, c in _get(obj, "si", list, "config")]
-    rsi = [rep_inst(sw, proto, members, primary)
-           for sw, proto, members, primary
-           in _get(obj, "rsi", list, "config")]
+    si = [SwInst(*row) for row in _rows(obj, "si", _SI_ROW, "config")]
+    rsi = [rep_inst(*row) for row in _rows(obj, "rsi", _RSI_ROW, "config")]
     return Config.make(si, rsi)
 
 
@@ -271,13 +325,10 @@ def signature_to_obj(sig: CanonicalSignature) -> dict:
 
 
 def signature_from_obj(obj: dict) -> CanonicalSignature:
-    fixed_si = tuple(SwInst(sw, c)
-                     for sw, c in _get(obj, "fixedSI", list, "signature"))
-    fixed_rsi = tuple((sw, proto, tuple(members), primary)
-                      for sw, proto, members, primary
-                      in _get(obj, "fixedRSI", list, "signature"))
-    bag = tuple((sw, tuple(devs))
-                for sw, devs in _get(obj, "relocBag", list, "signature"))
+    fixed_si = tuple(SwInst(*row) for row
+                     in _rows(obj, "fixedSI", _SI_ROW, "signature"))
+    fixed_rsi = tuple(_rows(obj, "fixedRSI", _RSI_ROW, "signature"))
+    bag = tuple(_rows(obj, "relocBag", (_STR, _STRS), "signature"))
     return CanonicalSignature(fixed_si, fixed_rsi, bag)
 
 
@@ -285,28 +336,41 @@ def _fs_to_obj(fs) -> list:
     return [[f.hw, f.ftype] for f in fs_key(fs)]
 
 
-def _fs_from_obj(obj) -> frozenset:
-    return frozenset(Failure(hw, ftype) for hw, ftype in obj)
+def _fs_from_obj(obj: dict, key: str, where: str) -> frozenset:
+    """Failed-set field ``key`` of ``obj``: [hardware id, failure type]
+    pairs."""
+    return frozenset(Failure(*row)
+                     for row in _rows(obj, key, (_STR, _STR), where))
 
 
 # -- policies --------------------------------------------------------------
 
 
+def _action_str(o: dict, key: str) -> str:
+    return _get(o, key, str, "action")
+
+
+def _action_si(o: dict) -> SwInst:
+    return SwInst(_action_str(o, "sw"), _action_str(o, "computer"))
+
+
 _ACTION_CODECS = {
     "stop": (Stop, lambda a: {"sw": a.si.sw, "computer": a.si.computer},
-             lambda o: Stop(SwInst(o["sw"], o["computer"]))),
+             lambda o: Stop(_action_si(o))),
     "stopRep": (StopRep, lambda a: {"sw": a.sw},
-                lambda o: StopRep(o["sw"])),
+                lambda o: StopRep(_action_str(o, "sw"))),
     "start": (Start, lambda a: {"sw": a.si.sw, "computer": a.si.computer},
-              lambda o: Start(SwInst(o["sw"], o["computer"]))),
+              lambda o: Start(_action_si(o))),
     "move": (Move, lambda a: {"sw": a.si.sw, "computer": a.si.computer,
                               "target": a.target},
-             lambda o: Move(SwInst(o["sw"], o["computer"]), o["target"])),
+             lambda o: Move(_action_si(o), _action_str(o, "target"))),
     "changeReps": (ChangeReps,
                    lambda a: {"sw": a.sw, "computers": list(a.computers),
                               "primary": a.primary},
-                   lambda o: ChangeReps(o["sw"], tuple(o["computers"]),
-                                        o["primary"])),
+                   lambda o: ChangeReps(
+                       _action_str(o, "sw"),
+                       _str_tuple(o, "computers", "action"),
+                       _get(o, "primary", _OPT_STR, "action"))),
 }
 
 
@@ -350,28 +414,35 @@ def save_policy(policy: Policy, path):
 
 
 def load_policy(path) -> Policy:
+    """Read a policy file; a malformed one raises ``ModelLoadError``."""
+    raw = _read_json(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ModelLoadError("cannot read %s: %s" % (path, exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ModelLoadError("%s: line %d: %s"
-                             % (path, exc.lineno, exc.msg)) from None
+        return policy_from_dict(raw)
+    except ModelError as exc:
+        raise ModelLoadError("%s: %s" % (path, exc)) from None
+
+
+def policy_from_dict(raw: dict) -> Policy:
+    if not isinstance(raw, dict):
+        raise ModelLoadError("policy: has type %s, expected an object"
+                             % type(raw).__name__)
     policy = Policy()
-    for r in _get(raw, "roots", list, "policy"):
-        policy.add_root(signature_from_obj(r["signature"]),
-                        config_from_obj(r["config"]))
-    for e in _get(raw, "entries", list, "policy"):
-        sig = signature_from_obj(e["state"]["signature"])
-        fs = _fs_from_obj(e["state"]["failedSet"])
-        burst = _fs_from_obj(e["burst"])
-        entry = PolicyEntry(
-            signature_from_obj(e["target"]["signature"]),
-            config_from_obj(e["target"]["config"]),
-            tuple(action_from_obj(a) for a in e["actions"]),
+    root, entry = "policy root", "policy entry"
+    for r in _objects(raw, "roots", "policy", _REQUIRED):
+        policy.add_root(signature_from_obj(_get(r, "signature", dict, root)),
+                        config_from_obj(_get(r, "config", dict, root)))
+    for e in _objects(raw, "entries", "policy", _REQUIRED):
+        state = _get(e, "state", dict, entry)
+        target = _get(e, "target", dict, entry)
+        key = (signature_from_obj(_get(state, "signature", dict, "state")),
+               fs_key(_fs_from_obj(state, "failedSet", "state")),
+               fs_key(_fs_from_obj(e, "burst", entry)))
+        policy.entries[key] = PolicyEntry(
+            signature_from_obj(_get(target, "signature", dict, "target")),
+            config_from_obj(_get(target, "config", dict, "target")),
+            tuple(action_from_obj(a)
+                  for a in _objects(e, "actions", entry, _REQUIRED)),
         )
-        policy.entries[(sig, fs_key(fs), fs_key(burst))] = entry
     return policy
 
 

@@ -23,14 +23,13 @@ from .model import Config, Software, SystemModel
 def relocatable(sw: Software, cfg: Config, sys: SystemModel) -> bool:
     """Whether ``sw`` can be freely re-hosted by reconfiguration in ``cfg``.
 
-    Requires the component to be restartable from scratch (fast-starting,
-    stateless, resumable), remotely usable whenever some instance in the
-    configuration depends on its functionality, and to depend only on
-    remotely usable providers.  The dependency check covers replicated as
-    well as unreplicated dependents: a co-location-bound dependent of either
-    kind would make the host choice observable.
+    Requires the component to be ``startable``, remotely usable whenever
+    some instance in the configuration depends on its functionality, and to
+    depend only on remotely usable providers.  The dependency check covers
+    replicated as well as unreplicated dependents: a co-location-bound
+    dependent of either kind would make the host choice observable.
     """
-    if not (sw.fast_starting and not sw.persis_state and sw.resumable):
+    if not sw.startable:
         return False
     needs = sw.fn_req
     for sid in cfg.instance_software():

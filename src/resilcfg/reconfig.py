@@ -91,9 +91,10 @@ def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
     added as a new replica member, which helps in states where the failure
     budget is exhausted and the next event can only be a recovery.
 
-    ``static_cache`` may be shared across calls with the same failed set;
-    it is consulted only for software without functionality requirements,
-    whose runnability does not depend on the configuration.
+    ``static_cache`` maps (software id, computer) to the verdict for
+    software without functionality requirements, whose runnability does not
+    depend on the configuration.  It may be shared by every call with the
+    same failed set; a cached call returns what an uncached call returns.
     """
     if static_cache is not None and not sw.fn_req:
         key = (sw.id, c)
@@ -116,14 +117,6 @@ def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
     return all(avail_dev(dt, comp, fs, sys) for dt in sw.devices)
 
 
-def _stateless_start_ok(sw) -> bool:
-    return sw.fast_starting and not sw.persis_state and sw.resumable
-
-
-def _members_addable(sw) -> bool:
-    return sw.fast_starting and (not sw.persis_state or sw.small_persis_state)
-
-
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
                     sys: SystemModel, assume_target_valid: bool = False,
                     static_canrun: dict = None,
@@ -136,14 +129,13 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
 
     * replicated instances are never created and never change protocol;
     * each new unreplicated instance is on a live computer that can run it
-      in the target, and is either freshly startable (fast-starting,
-      stateless, resumable) or accounted for by a move of a migratable
-      instance of the same software (each live removed instance can donate
-      at most one move);
+      in the target, and its software is either ``startable`` or
+      ``movable`` with a move accounted for by a live removed instance of
+      the same software (each such instance can donate at most one move);
     * each replica-set or primary change has a live reconfiguration quorum
-      of the old members; members may be added only for fast-starting
-      software with no or small persistent state; all members (active) or
-      the live new primary (passive) can run the software in the target.
+      of the old members; members may be added only for software whose
+      ``members_addable`` holds; all members (active) or the live new
+      primary (passive) can run the software in the target.
     """
     if not assume_target_valid and not valid_config(target, sys):
         return False
@@ -177,11 +169,8 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
         sw = sys.sw(si2.sw)
         if not is_live(si2.computer):
             return False
-        if not _stateless_start_ok(sw):
-            movable = (sw.migratable
-                       and (not sw.persis_state or sw.small_persis_state)
-                       and donors.get(si2.sw, 0) > 0)
-            if not movable:
+        if not sw.startable:
+            if not (sw.movable and donors.get(si2.sw, 0) > 0):
                 return False
             donors[si2.sw] -= 1
         if not can_run(si2.computer, sw, target, fs, sys, memo,
@@ -198,7 +187,7 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
             return False
         sw = sys.sw(r2.sw)
         if not set(r2.computers) <= set(r1.computers):
-            if not _members_addable(sw):
+            if not sw.members_addable:
                 return False
         if proto.active:
             if not all(can_run(m, sw, target, fs, sys, memo, static_canrun)
@@ -246,7 +235,7 @@ def _apply_start(cfg, fs, action, sys):
     sw = sys.sw(si.sw)
     if not live(si.computer, fs, sys):
         raise ActionRejected(action, "target computer not live")
-    if not _stateless_start_ok(sw):
+    if not sw.startable:
         raise ActionRejected(action, "software not startable "
                                      "(needs fast-starting, stateless, resumable)")
     if sw.single_instance and si.sw in cfg.instance_software():
@@ -266,10 +255,10 @@ def _apply_move(cfg, fs, action, sys):
     if target == si.computer:
         raise ActionRejected(action, "moving to the same computer")
     sw = sys.sw(si.sw)
-    if not sw.migratable:
-        raise ActionRejected(action, "software not migratable")
-    if sw.persis_state and not sw.small_persis_state:
-        raise ActionRejected(action, "persistent state too large to move")
+    if not sw.movable:
+        raise ActionRejected(action, "software not migratable"
+                             if not sw.migratable
+                             else "persistent state too large to move")
     if not (live(si.computer, fs, sys) and live(target, fs, sys)):
         raise ActionRejected(action, "source and target must both be live")
     moved = SwInst(si.sw, target)
@@ -295,7 +284,7 @@ def _apply_change_reps(cfg, fs, action, sys):
     need = quorum_size(proto.reconfig_q, len(r.computers))
     if sum(1 for m in r.computers if live(m, fs, sys)) < need:
         raise ActionRejected(action, "no live reconfiguration quorum")
-    if not set(new.computers) <= set(r.computers) and not _members_addable(sw):
+    if not set(new.computers) <= set(r.computers) and not sw.members_addable:
         raise ActionRejected(action, "cannot add members "
                                      "(software slow-starting or large state)")
     if proto.active:
@@ -355,7 +344,7 @@ def _diff_actions(cfg: Config, target: Config, fs: FailedSet,
     removed_free = list(removed)
     for si in added:
         sw = sys.sw(si.sw)
-        if _stateless_start_ok(sw):
+        if sw.startable:
             starts.append(Start(si))
             continue
         # Not freshly startable: realize as a move of a live removed

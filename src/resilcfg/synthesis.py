@@ -6,12 +6,15 @@ reachable by reconfiguration and is itself resilient.  Worst-case bursts
 suffice: anything a system survives when failures arrive all at once it
 also survives when they arrive in installments.
 
-The search memoizes verdicts per (signature, failed set).  Recursion always
-grows the failed set, so the memo is purely a cache and no cycle detection
-is needed.  With full quotient reduction the successor scan visits one
-deterministic state representative per equivalence class; verdicts carry
-over to every class member because relocatable instances can be re-hosted
-freely during reconfiguration.
+The search keeps one context per failed set: its bursts, its successor
+candidates, its caches and the memo of the verdicts of the nodes explored
+under it.  A resilient node's memo entry keeps, per burst, the successor and
+the witness action sequence that reaches it, so policy extraction reads
+policies from the memo.  Recursion always grows the failed set, so the memo
+is purely a cache and no cycle detection is needed.  With full quotient
+reduction the successor scan visits one deterministic state representative
+per equivalence class; verdicts carry over to every class member because
+relocatable instances can be re-hosted freely during reconfiguration.
 """
 
 from __future__ import annotations
@@ -97,11 +100,40 @@ class Policy:
 
 class _MemoEntry(NamedTuple):
     verdict: bool
-    successors: tuple  # ((burst FailedSet, successor node), ...)
+    successors: tuple  # ((burst, successor node, witness actions), ...)
+
+
+class _FailedSetContext:
+    """What the search keeps for one failed set."""
+
+    __slots__ = ("fs", "bursts", "candidates", "canrun", "live", "memo",
+                 "avail", "succ")
+
+    def __init__(self, fs: FailedSet):
+        self.fs = fs
+        self.bursts = None      # computed by ``_next_bursts``
+        self.candidates = None  # computed by ``_candidates``
+        self.canrun = {}        # ``can_run`` static cache
+        self.live = {}          # hardware id -> live under ``fs``
+        self.memo = {}          # node -> _MemoEntry
+        self.avail = {}         # node -> one-resilience availability
+        self.succ = {}          # (source, recursive) -> (node, actions)/None
 
 
 def _rsi_pairs(cfg: Config) -> frozenset:
     return frozenset((r.sw, r.protocol) for r in cfg.rsi)
+
+
+def _pinned_si(cfg: Config, sys: SystemModel) -> frozenset:
+    """Instances of software that reconfiguration can neither start fresh
+    nor move; a target containing one is reachable only from sources that
+    already run it in place."""
+    pinned = []
+    for si in cfg.si:
+        sw = sys.sw(si.sw)
+        if not (sw.startable or sw.movable):
+            pinned.append(si)
+    return frozenset(pinned)
 
 
 _MISSING = object()
@@ -127,7 +159,7 @@ class SolveResult:
 
 
 class Synthesizer:
-    """Shared search context: universes, quotient, memo, policy data.
+    """Shared search context: universes, quotient, per-failed-set contexts.
 
     ``quotient`` selects how much of the class reduction to use: "off" uses
     none, "partial" reduces only the initial candidates, "full" also reduces
@@ -143,17 +175,9 @@ class Synthesizer:
         self.quotient = quotient
         self.use_worst_bursts = use_worst_bursts
         self._built = False
-        self._memo = {}
         self._host_loss = HostLoss(sys)
         self._loss_groups = {}
-        self._bursts = {}
-        self._candidate_lists = {}
-        self._static_canrun = {}
-        self._avail_cache = {}
-        self._succ_cache = {}
-        self._live_caches = {}
-        self._rd_cache = {}
-        self._witness_cache = {}
+        self._contexts = {}  # failed set -> _FailedSetContext
         self.generate_seconds = 0.0
 
     # -- universe ---------------------------------------------------------
@@ -223,8 +247,14 @@ class Synthesizer:
     def _sig_of_node(self, node) -> CanonicalSignature:
         return node if self.quotient == "full" else signature(node, self.sys)
 
-    def _candidates(self, fs: FailedSet) -> list:
-        """Successor candidates for ``fs`` in descending quality order.
+    def _context(self, fs: FailedSet) -> _FailedSetContext:
+        ctx = self._contexts.get(fs)
+        if ctx is None:
+            ctx = self._contexts[fs] = _FailedSetContext(fs)
+        return ctx
+
+    def _candidates(self, ctx: _FailedSetContext) -> list:
+        """Successor candidates for ``ctx.fs`` in descending quality order.
 
         Entries carry the candidate's (software, protocol) replica pairs so
         the scan can skip, without evaluating the relation, every candidate
@@ -232,72 +262,57 @@ class Synthesizer:
         The filtered list depends only on the failed set, so it is computed
         once per failed set and shared by every state exploring it.
         """
-        hit = self._candidate_lists.get(fs)
-        if hit is not None:
-            return hit
-        out = []
-        if self.quotient == "full":
-            for sig in self._class_order:
-                cfg = self.state_config(sig, fs)
-                if cfg is not None:
-                    out.append((sig, cfg, _rsi_pairs(cfg),
-                                self._pinned_si(cfg)))
-        else:
-            out = [(cfg, cfg, _rsi_pairs(cfg), self._pinned_si(cfg))
-                   for cfg in self._cfg_order
-                   if self.state_config(cfg, fs) is not None]
-        self._candidate_lists[fs] = out
-        return out
-
-    def _pinned_si(self, cfg: Config) -> frozenset:
-        """Instances of software that reconfiguration can neither start
-        fresh nor move; a target containing one is reachable only from
-        sources that already run it in place."""
-        pinned = []
-        for si in cfg.si:
-            sw = self.sys.sw(si.sw)
-            startable = (sw.fast_starting and not sw.persis_state
-                         and sw.resumable)
-            movable = (sw.migratable
-                       and (not sw.persis_state or sw.small_persis_state))
-            if not startable and not movable:
-                pinned.append(si)
-        return frozenset(pinned)
-
-    def _next_bursts(self, fs: FailedSet) -> list:
-        hit = self._bursts.get(fs)
-        if hit is None:
-            if self.use_worst_bursts:
-                hit = worst_next_failed_sets(self.req.fm, fs, self.sys)
+        if ctx.candidates is None:
+            if self.quotient == "full":
+                nodes = ((sig, self.state_config(sig, ctx.fs))
+                         for sig in self._class_order)
             else:
-                hit = next_failed_sets(self.req.fm, fs, self.sys)
-            self._bursts[fs] = hit
-        return hit
+                nodes = ((cfg, cfg) for cfg in self._cfg_order
+                         if self.state_config(cfg, ctx.fs) is not None)
+            ctx.candidates = [(node, cfg, _rsi_pairs(cfg),
+                               _pinned_si(cfg, self.sys))
+                              for node, cfg in nodes if cfg is not None]
+        return ctx.candidates
+
+    def _next_bursts(self, ctx: _FailedSetContext) -> list:
+        if ctx.bursts is None:
+            nxt = (worst_next_failed_sets if self.use_worst_bursts
+                   else next_failed_sets)
+            ctx.bursts = nxt(self.req.fm, ctx.fs, self.sys)
+        return ctx.bursts
 
     # -- the resilience recursion -------------------------------------------
 
     def resilient_node(self, node, fs: FailedSet) -> bool:
-        key = (node, fs)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit.verdict
-        cfg = self.state_config(node, fs)
-        if cfg is None or not avail(self.req.crit_fns, cfg, fs, self.sys):
-            self._memo[key] = _MemoEntry(False, ())
-            return False
-        successors = []
-        for fs2 in self._next_bursts(fs):
-            succ = self._find_successor(cfg, fs, fs2, recursive=True)
-            if succ is None:
-                self._memo[key] = _MemoEntry(False, ())
-                return False
-            successors.append((fs2 - fs, succ))
-        self._memo[key] = _MemoEntry(True, tuple(successors))
-        return True
+        ctx = self._context(fs)
+        entry = ctx.memo.get(node)
+        if entry is None:
+            entry = _MemoEntry(False, ())
+            cfg = self.state_config(node, fs)
+            if cfg is not None and avail(self.req.crit_fns, cfg, fs, self.sys):
+                successors = self._successors(cfg, ctx, recursive=True)
+                if successors is not None:
+                    entry = _MemoEntry(True, successors)
+            ctx.memo[node] = entry
+        return entry.verdict
 
-    def _find_successor(self, cfg: Config, fs: FailedSet, fs2: FailedSet,
-                        recursive: bool):
-        """Best-quality successor that is reachable and (one-)resilient.
+    def _successors(self, cfg: Config, ctx: _FailedSetContext,
+                    recursive: bool) -> Optional[tuple]:
+        """((burst, successor node, witness actions), ...) from the state
+        ``cfg``/``ctx.fs``, one per next failed set; None as soon as one
+        burst has no successor."""
+        successors = []
+        for fs2 in self._next_bursts(ctx):
+            found = self._find_successor(cfg, fs2, recursive)
+            if found is None:
+                return None
+            successors.append((fs2 - ctx.fs,) + found)
+        return tuple(successors)
+
+    def _find_successor(self, cfg: Config, fs2: FailedSet, recursive: bool):
+        """Best-quality successor that is reachable and (one-)resilient after
+        the burst that leads to ``fs2``, as (node, witness actions); None
+        when there is none.
 
         Candidates arrive quality-sorted, so the first hit is the best one.
         Per candidate, the source-independent resilience verdict (memoized
@@ -308,97 +323,66 @@ class Synthesizer:
         with several interlocking membership changes the relation alone can
         accept a target no action ordering realizes, and emitted policies
         must replay."""
-        src = self._remove_dead(cfg, fs2)
-        key = (src, fs2, recursive)
-        hit = self._succ_cache.get(key, _MISSING)
+        ctx = self._context(fs2)
+        src = remove_dead(cfg, fs2, self.sys)
+        key = (src, recursive)
+        hit = ctx.succ.get(key, _MISSING)
         if hit is not _MISSING:
             return hit
         src_pairs = _rsi_pairs(src)
         src_si = frozenset(src.si)
-        static_canrun = self._static_canrun.setdefault(fs2, {})
-        live_cache = self._live_caches.setdefault(fs2, {})
         found = None
-        for node2, cfg2, pairs, pinned in self._candidates(fs2):
+        for node2, cfg2, pairs, pinned in self._candidates(ctx):
             if not (pairs <= src_pairs and pinned <= src_si):
                 continue
             if recursive:
                 if not self.resilient_node(node2, fs2):
                     continue
-            else:
-                if not self._avail_node(node2, cfg2, fs2):
-                    continue
+            elif not self._avail_node(node2, cfg2, ctx):
+                continue
             if not can_reconfigure(src, cfg2, fs2, self.sys,
                                    assume_target_valid=True,
-                                   static_canrun=static_canrun,
-                                   live_cache=live_cache):
+                                   static_canrun=ctx.canrun,
+                                   live_cache=ctx.live):
                 continue
-            if self._witness(src, cfg2, fs2) is not None:
-                found = node2
-                break
-        self._succ_cache[key] = found
+            try:
+                actions = derive_actions(src, cfg2, fs2, self.sys,
+                                         relation_checked=True)
+            except NoWitnessError:
+                continue
+            found = (node2, actions)
+            break
+        ctx.succ[key] = found
         return found
 
-    def _witness(self, src: Config, tgt: Config, fs2: FailedSet):
-        """Cached action sequence realizing a relation-accepted target."""
-        key = (src, tgt, fs2)
-        hit = self._witness_cache.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit
-        try:
-            actions = derive_actions(src, tgt, fs2, self.sys,
-                                     relation_checked=True)
-        except NoWitnessError:
-            actions = None
-        self._witness_cache[key] = actions
-        return actions
-
-    def _remove_dead(self, cfg: Config, fs: FailedSet) -> Config:
-        key = (cfg, fs)
-        hit = self._rd_cache.get(key)
+    def _avail_node(self, node, cfg: Config, ctx: _FailedSetContext) -> bool:
+        hit = ctx.avail.get(node)
         if hit is None:
-            hit = remove_dead(cfg, fs, self.sys)
-            self._rd_cache[key] = hit
-        return hit
-
-    def _avail_node(self, node, cfg, fs2: FailedSet) -> bool:
-        key = (node, fs2)
-        hit = self._avail_cache.get(key)
-        if hit is None:
-            hit = avail(self.req.crit_fns, cfg, fs2, self.sys)
-            self._avail_cache[key] = hit
+            hit = ctx.avail[node] = avail(self.req.crit_fns, cfg, ctx.fs,
+                                          self.sys)
         return hit
 
     # -- public state predicates --------------------------------------------
 
     def check_state(self, cfg: Config, fs: FailedSet = EMPTY_FS) -> bool:
         """Resilience of an arbitrary valid state (not only universe members)."""
-        self._check_state_pre(cfg, fs)
-        self.build()
-        if not avail(self.req.crit_fns, cfg, fs, self.sys):
-            return False
-        for fs2 in self._next_bursts(fs):
-            if self._find_successor(cfg, fs, fs2, recursive=True) is None:
-                return False
-        return True
+        return self._check(cfg, fs, recursive=True)
 
     def check_state_one(self, cfg: Config, fs: FailedSet = EMPTY_FS) -> bool:
         """One-resilience: successors need only restore availability."""
-        self._check_state_pre(cfg, fs)
-        self.build()
-        if not avail(self.req.crit_fns, cfg, fs, self.sys):
-            return False
-        for fs2 in self._next_bursts(fs):
-            if self._find_successor(cfg, fs, fs2, recursive=False) is None:
-                return False
-        return True
+        return self._check(cfg, fs, recursive=False)
 
-    def _check_state_pre(self, cfg: Config, fs: FailedSet):
+    def _check(self, cfg: Config, fs: FailedSet, recursive: bool) -> bool:
         if not valid_config(cfg, self.sys):
             raise ModelError("state configuration is not valid")
         if remove_dead(cfg, fs, self.sys) != cfg:
             raise ModelError("state configuration carries dead instances")
         if not consistent(fs, self.req.fm, self.sys):
             raise ModelError("failed set inconsistent with failure model")
+        self.build()
+        return (avail(self.req.crit_fns, cfg, fs, self.sys)
+                and self._successors(cfg, self._context(fs),
+                                     recursive) is not None)
 
     # -- the top-level solve -------------------------------------------------
 
@@ -477,22 +461,16 @@ class Synthesizer:
             if key in done:
                 continue
             done.add(key)
-            entry = self._memo.get(key)
+            entry = self._context(fs).memo.get(node)
             if entry is None or not entry.verdict:
                 raise ModelError("policy extraction from an unexplored state")
-            cfg = self.state_config(node, fs)
             sig = self._sig_of_node(node)
-            for burst, succ in entry.successors:
+            for burst, succ, actions in entry.successors:
                 fs2 = fs | burst
-                tgt_cfg = self.state_config(succ, fs2)
-                src = self._remove_dead(cfg, fs2)
-                actions = self._witness(src, tgt_cfg, fs2)
-                if actions is None:
-                    raise ModelError("recorded successor has no witness")
                 pkey = (sig, fs_key(fs), fs_key(burst))
                 policy.entries.setdefault(
-                    pkey, PolicyEntry(self._sig_of_node(succ), tgt_cfg,
-                                      actions))
+                    pkey, PolicyEntry(self._sig_of_node(succ),
+                                      self.state_config(succ, fs2), actions))
                 stack.append((succ, fs2))
         return policy
 

@@ -12,7 +12,6 @@ from resilcfg import (
     generate_all_configs,
     generate_init_configs,
     max_simult_fail,
-    requires_replication,
     valid_config,
 )
 from resilcfg.oracle import all_valid_configs
@@ -39,15 +38,17 @@ def test_critical_software_empty():
 
 
 def test_requires_replication(tiny_sys):
-    assert requires_replication(tiny_sys.sw("PLAN"))  # not resumable
-    assert not requires_replication(tiny_sys.sw("LOC"))
+    """A fresh instance cannot replace a lost one unless the software is
+    startable."""
+    assert not tiny_sys.sw("PLAN").startable  # not resumable
+    assert tiny_sys.sw("LOC").startable
     slow = Software(id="slow", fn="f", cores=1, fast_starting=False,
                     resumable=True)
-    assert requires_replication(slow)
+    assert not slow.startable
     keeper = Software(id="k", fn="f", cores=1, fast_starting=True,
                       resumable=True, persis_state=True,
                       single_instance=True)
-    assert requires_replication(keeper)
+    assert not keeper.startable
 
 
 @pytest.mark.parametrize("n,cap,global_cap,expected", [

@@ -321,3 +321,66 @@ def test_load_rejects_booleans_for_integers(where, key):
 def test_load_rejects_other_malformed_models(raw):
     with pytest.raises(ModelLoadError):
         modelio.model_from_dict(raw)
+
+
+def _with_short_fixed_si(raw):
+    raw["roots"][0]["signature"]["fixedSI"] = [["a"]]
+    return raw
+
+
+def _with_bare_stop(raw):
+    raw["entries"][0]["actions"] = [{"type": "stop"}]
+    return raw
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda raw: {"roots": [{}], "entries": []},
+     "policy root: missing field 'signature'"),
+    (lambda raw: {"roots": [5], "entries": []},
+     "entry 0 of 'roots' has type int, expected an object"),
+    (_with_short_fixed_si,
+     "entry 0 of 'fixedSI' has 1 entries, expected a list of 2"),
+    (_with_bare_stop, "action: missing field 'sw'"),
+], ids=["root-without-signature", "root-not-an-object", "short-fixedSI-entry",
+        "stop-without-sw"])
+def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
+                                                       broken, message):
+    pol = _tiny_policy(tmp_path)
+    pol.write_text(json.dumps(broken(json.loads(pol.read_text()))))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("root, code, message", [
+    ("0", 0, ""),
+    ("-1", 2, "--root -1 is out of range: valid roots are 0 to 0"),
+    ("99", 2, "--root 99 is out of range: valid roots are 0 to 0"),
+])
+def test_cli_replay_root_index_is_checked(tmp_path, capsys, root, code,
+                                          message):
+    pol = _tiny_policy(tmp_path)
+    assert len(load_policy(pol).roots) == 1
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps([["c0"]]))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--schedule", str(sched),
+                 "--root", root]) == code
+    out = capsys.readouterr()
+    if code:
+        assert message in out.err and out.err.count("\n") == 1
+    else:
+        assert out.err == "" and out.out.startswith("root ")
+
+
+@pytest.mark.parametrize("content", [b"\xff{}", b"1" * 5000],
+                         ids=["not-utf8", "integer-too-long"])
+def test_load_policy_rejects_unreadable_json(tmp_path, content):
+    path = tmp_path / "policy.json"
+    path.write_bytes(content)
+    with pytest.raises(ModelLoadError) as exc:
+        load_policy(path)
+    assert "\n" not in str(exc.value)

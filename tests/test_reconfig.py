@@ -264,12 +264,35 @@ def test_replica_swap_without_spare_slot_has_no_witness():
         crit_fns=frozenset({"f0", "f1"}))
     syn = Synthesizer(sys, req)
     syn.build()
-    found = syn._find_successor(src, FS0, frozenset({crash("c0")}),
-                                recursive=False)
-    assert found is None or syn._witness(
-        syn._remove_dead(src, frozenset({crash("c0")})),
-        syn.state_config(found, frozenset({crash("c0")})),
-        frozenset({crash("c0")})) is not None
+    fs = frozenset({crash("c0")})
+    found = syn._find_successor(src, fs, recursive=False)
+    if found is not None:
+        node, actions = found
+        assert (_apply_after_failures(src, fs, actions, sys)
+                == syn.state_config(node, fs))
+
+
+@pytest.mark.parametrize("recursive", [True, False])
+def test_found_successor_carries_a_replaying_witness(tiny_sys, tiny_req,
+                                                     recursive):
+    from resilcfg.synthesis import Synthesizer
+
+    syn = Synthesizer(tiny_sys, tiny_req)
+    syn.build()
+    src = tiny_config()
+    node, actions = syn._find_successor(src, FS_C0, recursive=recursive)
+    assert actions
+    assert (_apply_after_failures(src, FS_C0, actions, tiny_sys)
+            == syn.state_config(node, FS_C0))
+
+
+def _apply_after_failures(cfg, fs, actions, sys):
+    """The configuration ``actions`` lead to from ``cfg`` once the failures
+    of ``fs`` have removed its dead instances."""
+    state = State(remove_dead(cfg, fs, sys), fs)
+    for act in actions:
+        state = apply_action(state, act, sys)
+    return state.cfg
 
 
 def test_derived_sequences_stay_valid_on_random_models():

@@ -31,7 +31,7 @@ from resilcfg import (
     worst_burst_schedules,
 )
 from resilcfg import fixtures
-from resilcfg.failures import failed_hw, survives_host_loss
+from resilcfg.failures import failed_hw
 from resilcfg.synthesis import PolicyEntry, ReplayError
 from conftest import FS0, random_model, tiny_config
 
@@ -217,7 +217,7 @@ def test_state_config_is_the_first_member_without_dead_instances():
                     for m in members:
                         for r in m.rsi:
                             if set(r.computers) <= dead:
-                                kept = survives_host_loss(sys.sw(r.sw))
+                                kept = sys.sw(r.sw).survives_host_loss
                                 seen["replicas lost, survives" if kept
                                      else "replicas lost, dropped"] += 1
     assert all(seen.values()), seen
