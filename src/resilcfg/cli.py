@@ -14,7 +14,6 @@ failure model allows.
 from __future__ import annotations
 
 import argparse
-import json
 import sys as _sys
 
 from .model import CRASH, ModelError
@@ -123,8 +122,7 @@ def _cmd_replay(args) -> int:
 def _read_schedule(path, sys_model, req) -> list:
     """The bursts of a schedule file.  A schedule outside the failure model
     is an input error, so that a replay failure always means a policy gap."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = modelio._read_json(path)
     if not (isinstance(raw, list)
             and all(isinstance(burst, list) for burst in raw)):
         raise modelio.ModelLoadError("%s: expected a list of bursts, each a "
@@ -160,7 +158,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_replay(args)
-    except (ModelError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, OSError) as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return EXIT_INPUT_ERROR
     except ReplayError as exc:

@@ -135,57 +135,65 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
 
 
 def generate_all_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
-    """All relevant valid configurations, key-sorted."""
+    """All relevant valid configurations, key-sorted.
+
+    Software is visited in id order and the hosts of each option in computer
+    order, so the instance tuples a leaf accumulates are already canonical:
+    a leaf is ``Config(si, rsi)`` of them, sharing the options' instances.
+    Critical coverage depends only on which components have instances, so it
+    is decided per bitmask of present components before a leaf is built.
+    """
     f = max_simult_fail(req.fm)
     crit_sw = critical_software(sys, req.crit_fns)
     soft = list(sys.software.values())
-    options = [_software_options(sw, sys, sw.id in crit_sw, f) for sw in soft]
+    bit = {sw.id: 1 << i for i, sw in enumerate(soft)}
+    crit_masks = [sum(bit[sid] for sid in sys.fn_providers.get(fn, ()))
+                  for fn in req.crit_fns]
+    covered = {}  # present-component mask -> every critical fn provided
 
-    budget = {c.id: (c.cores, c.ram) for c in sys.computers.values()}
+    # Per component: its demand and its options as (si tuple, rsi tuple,
+    # hosts, presence bit).  A computer runs a component at most once even
+    # when it hosts both an unreplicated instance and a replica of it.
+    levels = []
+    for sw in soft:
+        opts = []
+        for si_set, r in _software_options(sw, sys, sw.id in crit_sw, f):
+            hosts = {s.computer for s in si_set}
+            if r is not None:
+                hosts.update(r.computers)
+            opts.append((si_set, () if r is None else (r,),
+                         tuple(sorted(hosts)), bit[sw.id] if hosts else 0))
+        levels.append((sw.cores, sw.ram, opts))
+
+    cores_left = {c.id: c.cores for c in sys.computers.values()}
+    ram_left = {c.id: c.ram for c in sys.computers.values()}
     out = []
 
-    def option_load(sw, si_set, r):
-        # One entry per host: a computer runs a component at most once even
-        # when it hosts both an unreplicated instance and a replica of it.
-        hosts = {s.computer for s in si_set}
-        if r is not None:
-            hosts.update(r.computers)
-        return [(h, sw.cores, sw.ram) for h in sorted(hosts)]
-
-    def dfs(i, si_acc, rsi_acc, remaining):
-        if i == len(soft):
-            cfg = Config.make(si_acc, rsi_acc)
-            if _covers_critical(cfg, sys, req.crit_fns):
-                out.append(cfg)
+    def dfs(i, si_acc, rsi_acc, mask):
+        if i == len(levels):
+            ok = covered.get(mask)
+            if ok is None:
+                ok = covered[mask] = all(m & mask for m in crit_masks)
+            if ok:
+                out.append(Config(si_acc, rsi_acc))
             return
-        sw = soft[i]
-        for si_set, r in options[i]:
-            load = option_load(sw, si_set, r)
-            ok = True
-            for host, cores, ram in load:
-                rc, rr = remaining[host]
-                if cores > rc or ram > rr:
-                    ok = False
+        cores, ram, opts = levels[i]
+        for si_set, rsi_add, hosts, present in opts:
+            for h in hosts:
+                if cores > cores_left[h] or ram > ram_left[h]:
                     break
-            if not ok:
-                continue
-            for host, cores, ram in load:
-                rc, rr = remaining[host]
-                remaining[host] = (rc - cores, rr - ram)
-            dfs(i + 1, si_acc + list(si_set),
-                rsi_acc + ([r] if r is not None else []), remaining)
-            for host, cores, ram in load:
-                rc, rr = remaining[host]
-                remaining[host] = (rc + cores, rr + ram)
+            else:
+                for h in hosts:
+                    cores_left[h] -= cores
+                    ram_left[h] -= ram
+                dfs(i + 1, si_acc + si_set, rsi_acc + rsi_add, mask | present)
+                for h in hosts:
+                    cores_left[h] += cores
+                    ram_left[h] += ram
 
-    dfs(0, [], [], dict(budget))
+    dfs(0, (), (), 0)
     out.sort(key=Config.key)
     return out
-
-
-def _covers_critical(cfg: Config, sys: SystemModel, crit_fns) -> bool:
-    provided = {sys.sw(sid).fn for sid in cfg.instance_software()}
-    return all(fn in provided for fn in crit_fns)
 
 
 def _all_equivalent(members, sys: SystemModel) -> bool:

@@ -190,7 +190,13 @@ class Synthesizer:
         self.init_cfgs = generate_init_configs(self.sys, self.req,
                                                self.all_cfgs)
         self.all_classes = partition_members(self.all_cfgs, self.sys)
-        self.init_sigs = {signature(c, self.sys) for c in self.init_cfgs}
+        # A class is initial when it holds an initial configuration.  The
+        # initial configurations are a sublist of ``all_cfgs``, the very
+        # objects, so membership goes by identity and hashes no
+        # configuration.
+        init_ids = set(map(id, self.init_cfgs))
+        self.init_sigs = {sig for sig, members in self.all_classes.items()
+                          if any(id(m) in init_ids for m in members)}
 
         def class_order_key(item):
             sig, members = item

@@ -249,6 +249,22 @@ def test_cli_replay_schedule_outside_the_model_is_an_input_error(
     assert message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"[[\"c0\"]]\xff", "can't decode byte 0xff"),
+    (b"[[" + b"9" * 5000 + b"]]", "integer string conversion"),
+], ids=["not-utf8", "5000-digit-integer"])
+def test_cli_replay_unreadable_schedule_is_an_input_error(
+        tmp_path, capsys, content, message):
+    pol = _tiny_policy(tmp_path)
+    sched = tmp_path / "sched.json"
+    sched.write_bytes(content)
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--schedule", str(sched)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
 def _reject_first_action(pol):
     """Make the first action of every entry name an instance that is not
     there, so applying it raises ``ActionRejected``."""
