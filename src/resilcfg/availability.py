@@ -46,10 +46,6 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
     """Whether functionality ``fn`` is available on computer ``c``."""
     if memo is None:
         memo = {}
-    return _avail_on(fn, c, cfg, fs, sys, memo)
-
-
-def _avail_on(fn, c, cfg, fs, sys, memo):
     if not live(c, fs, sys):
         return False
     key = (fn, c)
@@ -58,7 +54,7 @@ def _avail_on(fn, c, cfg, fs, sys, memo):
         return hit
 
     def reqs_ok(sw, host):
-        return (all(_avail_on(f2, host, cfg, fs, sys, memo) for f2 in sw.fn_req)
+        return (all(avail_on(f2, host, cfg, fs, sys, memo) for f2 in sw.fn_req)
                 and _devs_ok(sw, host, fs, sys))
 
     result = False
@@ -110,7 +106,7 @@ def avail(fns, cfg: Config, fs: FailedSet, sys: SystemModel) -> bool:
     """Every functionality in ``fns`` is available on some computer."""
     memo = {}
     for fn in sorted(fns):
-        if not any(_avail_on(fn, c, cfg, fs, sys, memo)
+        if not any(avail_on(fn, c, cfg, fs, sys, memo)
                    for c in sys.computer_ids):
             return False
     return True

@@ -35,7 +35,9 @@ def _build_parser():
     p_solve = sub.add_parser("solve", help="find resilient initial configurations")
     p_solve.add_argument("--model", required=True, help="model JSON file")
     p_solve.add_argument("--mode", choices=("resilient", "best"),
-                         default="best")
+                         default="best",
+                         help="both list every resilient class best first; "
+                              "only the report's mode field differs")
     p_solve.add_argument("--quotient", choices=("off", "partial", "full"),
                          default="full",
                          help="how much of the equivalence-class reduction "

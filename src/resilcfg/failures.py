@@ -4,7 +4,9 @@ A failed set is the set of currently failed hardware components.  A failure
 model bounds how many components of each kind may be down at once (``n`` per
 bound) and how many may fail faster than the system can reconfigure
 (``max_simult``, per bound and globally).  A burst is one such simultaneous
-group of failures.
+group of failures.  One enumerator lists the failed sets a burst reaches:
+every burst for ``next_failed_sets``, the largest ones for
+``worst_next_failed_sets``.
 """
 
 from __future__ import annotations
@@ -137,18 +139,7 @@ def _burst_slots(fm: FailureModel, fs: FailedSet, sys: SystemModel):
 
 def next_failed_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel) -> list:
     """All consistent failed sets reachable from ``fs`` by one burst."""
-    if not consistent(fs, fm, sys):
-        raise ModelError("failed set inconsistent with failure model")
-    slots = _burst_slots(fm, fs, sys)
-    total_cap = sum(cap for _, _, cap in slots)
-    if fm.max_simult is not None:
-        total_cap = min(total_cap, fm.max_simult)
-    out = []
-    for sizes in _size_vectors(slots, 1, total_cap):
-        for burst in _bursts_of(slots, sizes):
-            out.append(fs | burst)
-    out.sort(key=fs_key)
-    return out
+    return _next_sets(fm, fs, sys, worst=False)
 
 
 def worst_next_failed_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel) -> list:
@@ -158,16 +149,21 @@ def worst_next_failed_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel) ->
     by the per-bound and global rate caps, so maximal bursts are enumerated
     directly instead of generating and filtering all bursts.
     """
+    return _next_sets(fm, fs, sys, worst=True)
+
+
+def _next_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel,
+               worst: bool) -> list:
+    """The failed sets one burst beyond ``fs``, sorted by ``fs_key``; with
+    ``worst`` only those whose burst has the largest permitted size."""
     if not consistent(fs, fm, sys):
         raise ModelError("failed set inconsistent with failure model")
     slots = _burst_slots(fm, fs, sys)
     total = sum(cap for _, _, cap in slots)
     if fm.max_simult is not None:
         total = min(total, fm.max_simult)
-    if total == 0:
-        return []
     out = []
-    for sizes in _size_vectors(slots, total, total):
+    for sizes in _size_vectors(slots, total if worst else 1, total):
         for burst in _bursts_of(slots, sizes):
             out.append(fs | burst)
     out.sort(key=fs_key)
@@ -188,9 +184,7 @@ def _size_vectors(slots, lo_total, hi_total):
         for t in range(0, min(cap, left) + 1):
             yield from rec(i + 1, left - t, acc + [t])
 
-    for vec in rec(0, hi_total, []):
-        if sum(vec) >= 1:
-            yield vec
+    yield from rec(0, hi_total, [])
 
 
 def _bursts_of(slots, sizes):
@@ -199,8 +193,7 @@ def _bursts_of(slots, sizes):
         per_slot.append([frozenset(Failure(h, ftype) for h in combo)
                          for combo in itertools.combinations(cands, t)])
     for parts in itertools.product(*per_slot):
-        burst = frozenset().union(*parts) if parts else frozenset()
-        yield burst
+        yield frozenset().union(*parts)
 
 
 def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:

@@ -394,9 +394,6 @@ def _rsi_key(r: RepSwInst) -> tuple:
     return (r.sw, r.protocol, r.computers, r.primary or "")
 
 
-EMPTY_CONFIG = Config()
-
-
 # -- static configuration predicates ------------------------------------
 
 

@@ -308,11 +308,13 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
                    sys: SystemModel, relation_checked: bool = False) -> tuple:
     """An action sequence turning ``cfg`` into ``target`` under ``fs``.
 
-    Emission prefers the phase order stop/stopRep, shrinking membership
-    changes, moves, starts, growing membership changes, so capacity is freed
-    before it is consumed.  When dependencies make the phase order
-    infeasible (a membership change may need a provider that is itself being
-    restarted), a bounded search over orderings finds a valid interleaving.
+    A depth-first search over orderings of the difference actions.  At each
+    step it applies the first applicable action in the phase order
+    stop/stopRep, shrinking membership changes, moves, starts, growing
+    membership changes, so capacity is freed before it is consumed, and its
+    first descent is that phase order.  It backtracks only out of a dead
+    end, which dependencies can cause: a membership change may need a
+    provider that is itself being restarted.
 
     Raises ``NoWitnessError`` when the relation does not hold, or when every
     ordering of the difference actions deadlocks (possible only with several
@@ -322,12 +324,34 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
     if not relation_checked and not can_reconfigure(cfg, target, fs, sys):
         raise NoWitnessError("reconfiguration relation does not hold")
     pending = _diff_actions(cfg, target, fs, sys)
-    state = State(cfg, fs)
-    end, order = _apply_greedy(state, pending, sys)
-    if end is None or end.cfg != target:
-        order = _apply_search(state, pending, sys, target)
-        if order is None:
-            raise NoWitnessError("no valid ordering of the difference actions")
+    order = []
+    # A state is (configuration, bitmask of the pending actions left).  The
+    # mask shrinks along a path and a success ends the search, so a state
+    # met again is a dead end: only dead ends are kept, and a search that
+    # never backtracks hashes no state.
+    dead_ends = set()
+
+    def search(st, remaining):
+        if not remaining:
+            return st.cfg == target
+        if dead_ends and (st.cfg, remaining) in dead_ends:
+            return False
+        for i, act in enumerate(pending):
+            if not remaining >> i & 1:
+                continue
+            try:
+                st2 = apply_action(st, act, sys)
+            except ActionRejected:
+                continue
+            order.append(act)
+            if search(st2, remaining & ~(1 << i)):
+                return True
+            order.pop()
+        dead_ends.add((st.cfg, remaining))
+        return False
+
+    if not search(State(cfg, fs), (1 << len(pending)) - 1):
+        raise NoWitnessError("no valid ordering of the difference actions")
     return tuple(order)
 
 
@@ -378,46 +402,3 @@ def _diff_actions(cfg: Config, target: Config, fs: FailedSet,
     actions.extend(starts)
     actions.extend(grows)
     return actions
-
-
-def _apply_greedy(state: State, pending: list, sys: SystemModel):
-    """Apply pending actions, retrying blocked ones after each success."""
-    order = []
-    pending = list(pending)
-    while pending:
-        for i, act in enumerate(pending):
-            try:
-                state = apply_action(state, act, sys)
-            except ActionRejected:
-                continue
-            order.append(act)
-            del pending[i]
-            break
-        else:
-            return None, order
-    return state, order
-
-
-def _apply_search(state: State, pending: list, sys: SystemModel,
-                  target: Config):
-    """Exhaustive search over orderings of the difference actions."""
-    seen = set()
-
-    def rec(st, remaining, order):
-        if not remaining:
-            return order if st.cfg == target else None
-        key = (st.cfg.key(), frozenset(id(a) for a in remaining))
-        if key in seen:
-            return None
-        seen.add(key)
-        for i, act in enumerate(remaining):
-            try:
-                st2 = apply_action(st, act, sys)
-            except ActionRejected:
-                continue
-            res = rec(st2, remaining[:i] + remaining[i + 1:], order + [act])
-            if res is not None:
-                return res
-        return None
-
-    return rec(state, list(pending), [])

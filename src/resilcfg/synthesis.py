@@ -161,9 +161,13 @@ class SolveResult:
 class Synthesizer:
     """Shared search context: universes, quotient, per-failed-set contexts.
 
-    ``quotient`` selects how much of the class reduction to use: "off" uses
-    none, "partial" reduces only the initial candidates, "full" also reduces
-    the successor scan.
+    ``quotient`` selects how much of the class reduction to use, and decides
+    only what a search node is and which nodes are roots.  With "full" a
+    node is a class signature standing for the class members, and the roots
+    are the initial classes.  With "off" and "partial" a node is a
+    configuration standing for itself; "off" roots every initial
+    configuration, "partial" only the first member of each initial class.
+    Everything else runs the same way in every mode.
     """
 
     def __init__(self, sys: SystemModel, req: ResilienceRequirement,
@@ -197,18 +201,21 @@ class Synthesizer:
         init_ids = set(map(id, self.init_cfgs))
         self.init_sigs = {sig for sig, members in self.all_classes.items()
                           if any(id(m) in init_ids for m in members)}
+        if self.quotient == "full":
+            self._members = self.all_classes
+            roots = self.init_sigs
+        else:
+            self._members = {cfg: (cfg,) for cfg in self.all_cfgs}
+            roots = (set(self.init_cfgs) if self.quotient == "off" else
+                     {self.all_classes[sig][0] for sig in self.init_sigs})
 
-        def class_order_key(item):
-            sig, members = item
-            return quality(members[0], self.sys).sort_key() + (members[0].key(),)
+        def node_order_key(node):
+            first = self._members[node][0]
+            return quality(first, self.sys).sort_key() + (first.key(),)
 
-        self._class_order = [sig for sig, _ in
-                             sorted(self.all_classes.items(),
-                                    key=class_order_key)]
-        if self.quotient in ("off", "partial"):
-            self._cfg_order = sorted(
-                self.all_cfgs,
-                key=lambda c: quality(c, self.sys).sort_key() + (c.key(),))
+        # Every node, best first; a class sorts by its first member.
+        self._nodes = sorted(self._members, key=node_order_key)
+        self._roots = [node for node in self._nodes if node in roots]
         self.generate_seconds = time.perf_counter() - t0
         self._built = True
 
@@ -240,12 +247,8 @@ class Synthesizer:
 
     def _index_node(self, node) -> tuple:
         """((loss key, first member with that key), ...) in member order."""
-        if self.quotient == "full":
-            members = self.all_classes[node]
-        else:
-            members = (node,)
         firsts = {}
-        for member in members:
+        for member in self._members[node]:
             firsts.setdefault(self._host_loss.key(member), member)
         groups = self._loss_groups[node] = tuple(firsts.items())
         return groups
@@ -269,12 +272,8 @@ class Synthesizer:
         once per failed set and shared by every state exploring it.
         """
         if ctx.candidates is None:
-            if self.quotient == "full":
-                nodes = ((sig, self.state_config(sig, ctx.fs))
-                         for sig in self._class_order)
-            else:
-                nodes = ((cfg, cfg) for cfg in self._cfg_order
-                         if self.state_config(cfg, ctx.fs) is not None)
+            nodes = ((node, self.state_config(node, ctx.fs))
+                     for node in self._nodes)
             ctx.candidates = [(node, cfg, _rsi_pairs(cfg),
                                _pinned_si(cfg, self.sys))
                               for node, cfg in nodes if cfg is not None]
@@ -398,29 +397,8 @@ class Synthesizer:
         self.build()
         t0 = time.perf_counter()
 
-        if self.quotient == "off":
-            roots = sorted(self.init_cfgs,
-                           key=lambda c: quality(c, self.sys).sort_key()
-                           + (c.key(),))
-        elif self.quotient == "partial":
-            # One representative configuration per initial class.
-            roots = [self.all_classes[sig][0] for sig in self._class_order
-                     if sig in self.init_sigs]
-        else:
-            roots = [sig for sig in self._class_order
-                     if sig in self.init_sigs]
-
-        accepted = []
-        seen_sigs = set()
-        accepted_sigs = []
-        for node in roots:
-            if self.resilient_node(node, EMPTY_FS):
-                accepted.append(node)
-                sig = self._sig_of_node(node)
-                if sig not in seen_sigs:
-                    seen_sigs.add(sig)
-                    accepted_sigs.append(sig)
-
+        accepted = [node for node in self._roots
+                    if self.resilient_node(node, EMPTY_FS)]
         policy = self.extract_policy(accepted)
         analyze = time.perf_counter() - t0
 
@@ -437,7 +415,7 @@ class Synthesizer:
             n_init=len(self.init_cfgs),
             n_all_classes=len(self.all_classes),
             n_init_classes=len(self.init_sigs),
-            n_resilient_classes=len(accepted_sigs),
+            n_resilient_classes=len({sig for sig, _, _ in resilient_list}),
             quotient=self.quotient,
             mode=mode,
             generate_seconds=self.generate_seconds,
@@ -452,14 +430,16 @@ class Synthesizer:
         Every recorded state is a class state representative, and every
         entry's target is the state representative the verdicts were
         computed on, so replaying entries keeps landing on states that have
-        entries of their own until the failed set is maximal.
+        entries of their own until the failed set is maximal.  Only the
+        first root of a signature is followed, because replay starts there.
         """
         policy = Policy()
+        stack = []
         for node in accepted_roots:
             sig = self._sig_of_node(node)
             if policy.root_config(sig) is None:
                 policy.add_root(sig, self.state_config(node, EMPTY_FS))
-        stack = [(node, EMPTY_FS) for node in accepted_roots]
+                stack.append((node, EMPTY_FS))
         done = set()
         while stack:
             node, fs = stack.pop()

@@ -107,6 +107,7 @@ def test_next_on_maximal_set_is_empty():
     sys = _sys(2)
     fm = _fm(1, max_simult=1)
     assert next_failed_sets(fm, frozenset({crash("c0")}), sys) == []
+    assert worst_next_failed_sets(fm, frozenset({crash("c0")}), sys) == []
 
 
 def test_next_pairs_and_singletons():
@@ -121,6 +122,8 @@ def test_next_rejects_inconsistent_input():
     sys = _sys(1)
     with pytest.raises(ModelError):
         next_failed_sets(_fm(0), frozenset({crash("c0")}), sys)
+    with pytest.raises(ModelError):
+        worst_next_failed_sets(_fm(0), frozenset({crash("c0")}), sys)
 
 
 def test_worst_equals_filtered_next_on_random_models():
@@ -143,6 +146,7 @@ def test_worst_equals_filtered_next_on_random_models():
 def test_frozen_failure_state():
     sys = _sys(2)
     assert next_failed_sets(_fm(2, max_simult=0), FS0, sys) == []
+    assert worst_next_failed_sets(_fm(2, max_simult=0), FS0, sys) == []
 
 
 def test_unlimited_rate():

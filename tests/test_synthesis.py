@@ -1,5 +1,6 @@
 """Resilience predicates, the solver, quality, and policies."""
 
+import pathlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from resilcfg import (
     crash,
     derive_actions,
     fs_key,
+    load_model,
     next_failed_sets,
     one_resilient,
     quality,
@@ -34,6 +36,8 @@ from resilcfg import fixtures
 from resilcfg.failures import failed_hw
 from resilcfg.synthesis import PolicyEntry, ReplayError
 from conftest import FS0, random_model, tiny_config
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_quality_empty(tiny_sys):
@@ -282,8 +286,9 @@ def test_a_corrupted_deep_entry_fails_verify_and_replay():
 
 @pytest.mark.parametrize("quotient", ["off", "partial", "full"])
 def test_verify_policy_agrees_with_replaying_each_schedule(quotient):
-    """Count or first error, whatever the policy; with ``off`` and
-    ``partial`` a class's states may differ in their configuration."""
+    """The verify walk counts the schedules a per-schedule replay counts.
+    Every mode's policy replays, although with ``off`` and ``partial`` a
+    class's states may differ in their configuration."""
     models = [builder(2) for builder in (fixtures.autonomous_driving_laptop,
                                          fixtures.autonomous_driving_phone)]
     models += [_stepwise(fixtures.autonomous_driving_phone, 3)]
@@ -292,11 +297,19 @@ def test_verify_policy_agrees_with_replaying_each_schedule(quotient):
                for _ in range(30)]
     for sys, req in models:
         policy = Synthesizer(sys, req, quotient=quotient).solve().policy
-        try:
-            walked = verify_policy(policy, sys, req)
-        except ReplayError as exc:
-            walked = str(exc)
-        assert walked == _replay_each(policy, sys, req)
+        assert verify_policy(policy, sys, req) == _replay_each(policy, sys, req)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "tiny", "unsat"])
+def test_off_mode_policies_of_the_fixtures_replay(name):
+    """With quotient ``off`` the search explores several members of one
+    class; the policy follows only the member its root records, so every
+    worst-case schedule replays."""
+    sys, req = load_model(FIXTURES / (name + ".json"))
+    result = Synthesizer(sys, req, quotient="off").solve()
+    walked = verify_policy(result.policy, sys, req)
+    assert walked == _replay_each(result.policy, sys, req)
+    assert (walked > 0) == bool(result.resilient)
 
 
 def test_verify_policy_tells_apart_states_of_one_class():
