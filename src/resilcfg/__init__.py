@@ -89,6 +89,7 @@ from .modelio import (
     ModelLoadError,
     load_model,
     load_policy,
+    model_fingerprint,
     save_model,
     save_policy,
     save_report,

@@ -6,7 +6,8 @@ a burst schedule and checks that critical functionality never lapses.
 
 Exit codes: 0 on success (solve found at least one resilient configuration,
 validation clean, replay clean); 1 when no resilient configuration exists
-or a replay fails; 2 on input errors, including a replay schedule that
+or a replay fails; 2 on input errors, including a policy file of another
+format version or solved for another model, and a replay schedule that
 names unknown hardware, fails hardware twice, or fails more than the
 failure model allows.
 """
@@ -98,6 +99,9 @@ def _cmd_validate(args) -> int:
 def _cmd_replay(args) -> int:
     sys_model, req = modelio.load_model(args.model)
     policy = modelio.load_policy(args.policy)
+    if policy.model != modelio.model_fingerprint(sys_model, req):
+        raise modelio.ModelLoadError("%s was solved for another model than %s"
+                                     % (args.policy, args.model))
     if args.exhaustive:
         n = verify_policy(policy, sys_model, req)
         print("ok: %d worst-case schedules replayed across %d roots"

@@ -5,12 +5,31 @@ protocols, sync), ``failureModel`` (bounds, maxSimult), and ``critFns``.
 Omitted optional fields mean "unset"; booleans are explicit.  Keys starting
 with an underscore are ignored everywhere, so fixtures can carry notes.
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
-newline) so equal values serialize identically.
+newline) so equal values serialize identically.  Policy files are compact
+(no indentation, no spaces after separators); model and report files keep
+``indent=2``.
+
+A policy file (format version 2) holds the model's fingerprint, four
+tables of distinct objects (``signatures``, ``configs``, ``failedSets``,
+``actions``) in first-use order, and ``roots`` and ``entries`` as rows of
+indices into them.  The reader decodes each table row once and checks every
+index, so decoded entries share the table's objects.
 """
 
 from __future__ import annotations
 
 import json
+import re
+
+# The interpreter's own SHA-256.  ``hashlib`` loads OpenSSL, which adds about
+# 3.5 MB to the resident memory of every process that solves a model.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .model import (
     Computer,
@@ -38,6 +57,12 @@ def _dump(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _compact(obj) -> str:
+    """Canonical compact JSON.  A one-shot ``dumps`` without indentation
+    runs CPython's C encoder, which ``json.dump`` to a file never does."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 _REQUIRED = "__required__"
@@ -115,14 +140,20 @@ _OPT_STR = (str, type(None))
 def _rows(d: dict, key: str, shape: tuple, where: str) -> list:
     """List field ``key`` of ``d`` whose entries are lists that match
     ``shape`` position by position, as tuples."""
+    return _shaped(_get(d, key, list, where), shape, where, key)
+
+
+def _shaped(items: list, shape: tuple, where: str, name: str) -> list:
+    """The entries of ``items``, named ``name`` in messages, each a list
+    that matches ``shape`` position by position, as tuples."""
     rows = []
-    for i, row in enumerate(_get(d, key, list, where)):
+    for i, row in enumerate(items):
         if type(row) is not list or len(row) != len(shape):
             got = ("%d entries" % len(row) if type(row) is list
                    else "type %s" % type(row).__name__)
             raise ModelLoadError("%s: entry %d of %r has %s, expected a "
                                  "list of %d entries"
-                                 % (where, i, key, got, len(shape)))
+                                 % (where, i, name, got, len(shape)))
         vals = []
         for val, typ in zip(row, shape):
             if typ is _STRS:
@@ -132,7 +163,7 @@ def _rows(d: dict, key: str, shape: tuple, where: str) -> list:
             if not ok:
                 raise ModelLoadError(
                     "%s: entry %d of %r holds %s where %s is expected"
-                    % (where, i, key, type(val).__name__, _STRS
+                    % (where, i, name, type(val).__name__, _STRS
                        if typ is _STRS else " or ".join(t.__name__
                                                         for t in typ)))
             vals.append(tuple(val) if typ is _STRS else val)
@@ -332,15 +363,11 @@ def signature_from_obj(obj: dict) -> CanonicalSignature:
     return CanonicalSignature(fixed_si, fixed_rsi, bag)
 
 
-def _fs_to_obj(fs) -> list:
-    return [[f.hw, f.ftype] for f in fs_key(fs)]
-
-
-def _fs_from_obj(obj: dict, key: str, where: str) -> frozenset:
-    """Failed-set field ``key`` of ``obj``: [hardware id, failure type]
-    pairs."""
-    return frozenset(Failure(*row)
-                     for row in _rows(obj, key, (_STR, _STR), where))
+def model_fingerprint(sys: SystemModel, req: ResilienceRequirement) -> str:
+    """SHA-256, in hexadecimal, of the canonical compact JSON of the model:
+    equal models have equal fingerprints whatever file they came from."""
+    text = _compact(model_to_dict(sys, req))
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- policies --------------------------------------------------------------
@@ -390,27 +417,51 @@ def action_from_obj(obj: dict):
     return _ACTION_CODECS[name][2](obj)
 
 
+POLICY_VERSION = 2
+_FINGERPRINT = re.compile("[0-9a-f]{64}")
+_INT = (int,)
+# state config, failed set, burst, target signature, target config: each an
+# index; then the list of action indices
+_ENTRY_ROW = (_INT,) * 5 + ((list,),)
+
+
+def _table(encode):
+    """(index of, rows): ``index of(obj)`` gives ``obj``'s row in ``rows``,
+    appending ``encode(obj)`` the first time ``obj`` is seen."""
+    index, rows = {}, []
+
+    def index_of(obj) -> int:
+        i = index.get(obj)
+        if i is None:
+            i = index[obj] = len(rows)
+            rows.append(encode(obj))
+        return i
+
+    return index_of, rows
+
+
 def policy_to_dict(policy: Policy) -> dict:
-    roots = [{"signature": signature_to_obj(sig),
-              "config": config_to_obj(cfg)}
-             for sig, cfg in policy.roots]
-    entries = []
-    for (sig, fskey, burstkey), entry in sorted(
-            policy.entries.items(),
-            key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        entries.append({
-            "state": {"signature": signature_to_obj(sig),
-                      "failedSet": [list(f) for f in fskey]},
-            "burst": [list(f) for f in burstkey],
-            "target": {"signature": signature_to_obj(entry.target_sig),
-                       "config": config_to_obj(entry.target_cfg)},
-            "actions": [action_to_obj(a) for a in entry.actions],
-        })
-    return {"roots": roots, "entries": entries}
+    if policy.model is None:
+        raise ModelError("policy has no model fingerprint")
+    sig, sigs = _table(signature_to_obj)
+    cfg, cfgs = _table(config_to_obj)
+    fs, fss = _table(lambda key: [list(f) for f in key])
+    act, acts = _table(action_to_obj)
+    roots = [[sig(s), cfg(c)] for s, c in policy.roots]
+    entries = [[cfg(state), fs(fskey), fs(burstkey), sig(e.target_sig),
+                cfg(e.target_cfg), [act(a) for a in e.actions]]
+               for (state, fskey, burstkey), e in sorted(
+                   policy.entries.items(),
+                   key=lambda kv: (kv[0][0].key(), kv[0][1], kv[0][2]))]
+    return {"version": POLICY_VERSION, "model": policy.model,
+            "signatures": sigs, "configs": cfgs, "failedSets": fss,
+            "actions": acts, "roots": roots, "entries": entries}
 
 
 def save_policy(policy: Policy, path):
-    _dump(policy_to_dict(policy), path)
+    text = _compact(policy_to_dict(policy))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def load_policy(path) -> Policy:
@@ -422,27 +473,56 @@ def load_policy(path) -> Policy:
         raise ModelLoadError("%s: %s" % (path, exc)) from None
 
 
+def _at(table: list, i, name: str):
+    """Row ``i`` of the table ``name``; anything but an int in range,
+    including a boolean, is rejected."""
+    if type(i) is int and 0 <= i < len(table):
+        return table[i]
+    raise ModelLoadError("policy: %r is not an index into %r, which has %d "
+                         "entries" % (i, name, len(table)))
+
+
+def _failed_set(i: int, obj) -> tuple:
+    """Entry ``i`` of the ``failedSets`` table: [hardware id, failure type]
+    pairs, as an ``fs_key``."""
+    if type(obj) is not list:
+        raise ModelLoadError("policy: entry %d of 'failedSets' has type %s, "
+                             "expected a list" % (i, type(obj).__name__))
+    rows = _shaped(obj, (_STR, _STR), "policy", "failedSets %d" % i)
+    return fs_key(frozenset(Failure(*row) for row in rows))
+
+
 def policy_from_dict(raw: dict) -> Policy:
     if not isinstance(raw, dict):
         raise ModelLoadError("policy: has type %s, expected an object"
                              % type(raw).__name__)
-    policy = Policy()
-    root, entry = "policy root", "policy entry"
-    for r in _objects(raw, "roots", "policy", _REQUIRED):
-        policy.add_root(signature_from_obj(_get(r, "signature", dict, root)),
-                        config_from_obj(_get(r, "config", dict, root)))
-    for e in _objects(raw, "entries", "policy", _REQUIRED):
-        state = _get(e, "state", dict, entry)
-        target = _get(e, "target", dict, entry)
-        key = (signature_from_obj(_get(state, "signature", dict, "state")),
-               fs_key(_fs_from_obj(state, "failedSet", "state")),
-               fs_key(_fs_from_obj(e, "burst", entry)))
+    version = raw.get("version")
+    if type(version) is not int or version != POLICY_VERSION:
+        raise ModelLoadError("policy: format version %r is not supported, "
+                             "expected %d; solve the model again"
+                             % (version, POLICY_VERSION))
+    model = _get(raw, "model", str, "policy")
+    if not _FINGERPRINT.fullmatch(model):
+        raise ModelLoadError("policy: field 'model' is not a SHA-256 digest "
+                             "in lowercase hexadecimal")
+    sigs = [signature_from_obj(o)
+            for o in _objects(raw, "signatures", "policy", _REQUIRED)]
+    cfgs = [config_from_obj(o)
+            for o in _objects(raw, "configs", "policy", _REQUIRED)]
+    fss = [_failed_set(i, o)
+           for i, o in enumerate(_get(raw, "failedSets", list, "policy"))]
+    acts = [action_from_obj(o)
+            for o in _objects(raw, "actions", "policy", _REQUIRED)]
+    policy = Policy(model=model)
+    for s, c in _rows(raw, "roots", (_INT, _INT), "policy"):
+        policy.add_root(_at(sigs, s, "signatures"), _at(cfgs, c, "configs"))
+    for state, fs, burst, tsig, tcfg, actions in _rows(
+            raw, "entries", _ENTRY_ROW, "policy"):
+        key = (_at(cfgs, state, "configs"), _at(fss, fs, "failedSets"),
+               _at(fss, burst, "failedSets"))
         policy.entries[key] = PolicyEntry(
-            signature_from_obj(_get(target, "signature", dict, "target")),
-            config_from_obj(_get(target, "config", dict, "target")),
-            tuple(action_from_obj(a)
-                  for a in _objects(e, "actions", entry, _REQUIRED)),
-        )
+            _at(sigs, tsig, "signatures"), _at(cfgs, tcfg, "configs"),
+            tuple(_at(acts, a, "actions") for a in actions))
     return policy
 
 

@@ -77,12 +77,15 @@ class PolicyEntry(NamedTuple):
 
 @dataclass
 class Policy:
-    """Reconfiguration policy: per (state signature, failed set, burst), the
-    action sequence restoring a resilient configuration.  Roots are added
-    with ``add_root`` so that ``root_config`` finds them."""
+    """Reconfiguration policy: per (state configuration, failed set, burst),
+    the action sequence restoring a resilient configuration.  ``model`` is
+    the fingerprint of the model the policy was solved for (see
+    ``modelio.model_fingerprint``).  Roots are added with ``add_root`` so
+    that ``root_config`` finds them."""
 
     roots: list = field(default_factory=list)  # (signature, root Config)
     entries: dict = field(default_factory=dict)
+    model: Optional[str] = None
     # signature -> root Config of its first root; kept by ``add_root``
     _root_index: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -91,8 +94,8 @@ class Policy:
         self.roots.append((sig, cfg))
         self._root_index.setdefault(sig, cfg)
 
-    def entry(self, sig, fs, burst) -> Optional[PolicyEntry]:
-        return self.entries.get((sig, fs_key(fs), fs_key(burst)))
+    def entry(self, cfg: Config, fs, burst) -> Optional[PolicyEntry]:
+        return self.entries.get((cfg, fs_key(fs), fs_key(burst)))
 
     def root_config(self, sig) -> Optional[Config]:
         return self._root_index.get(sig)
@@ -401,6 +404,8 @@ class Synthesizer:
                     if self.resilient_node(node, EMPTY_FS)]
         policy = self.extract_policy(accepted)
         analyze = time.perf_counter() - t0
+        from .modelio import model_fingerprint  # modelio imports this module
+        policy.model = model_fingerprint(self.sys, self.req)
 
         resilient_list = []
         for node in accepted:
@@ -430,19 +435,24 @@ class Synthesizer:
         Every recorded state is a class state representative, and every
         entry's target is the state representative the verdicts were
         computed on, so replaying entries keeps landing on states that have
-        entries of their own until the failed set is maximal.  Only the
-        first root of a signature is followed, because replay starts there.
+        entries of their own until the failed set is maximal.  Entries are
+        keyed by the state's configuration, which the stack carries: the
+        root's at the empty failed set, the recorded target's below it.  So
+        with ``off`` and ``partial``, two members of one class explored at
+        one failed set keep an entry each.  Only the first root of a
+        signature is followed, because replay starts there.
         """
         policy = Policy()
         stack = []
         for node in accepted_roots:
             sig = self._sig_of_node(node)
             if policy.root_config(sig) is None:
-                policy.add_root(sig, self.state_config(node, EMPTY_FS))
-                stack.append((node, EMPTY_FS))
+                cfg = self.state_config(node, EMPTY_FS)
+                policy.add_root(sig, cfg)
+                stack.append((node, EMPTY_FS, cfg))
         done = set()
         while stack:
-            node, fs = stack.pop()
+            node, fs, cfg = stack.pop()
             key = (node, fs)
             if key in done:
                 continue
@@ -450,14 +460,12 @@ class Synthesizer:
             entry = self._context(fs).memo.get(node)
             if entry is None or not entry.verdict:
                 raise ModelError("policy extraction from an unexplored state")
-            sig = self._sig_of_node(node)
             for burst, succ, actions in entry.successors:
                 fs2 = fs | burst
-                pkey = (sig, fs_key(fs), fs_key(burst))
-                policy.entries.setdefault(
-                    pkey, PolicyEntry(self._sig_of_node(succ),
-                                      self.state_config(succ, fs2), actions))
-                stack.append((succ, fs2))
+                target = self.state_config(succ, fs2)
+                policy.entries[(cfg, fs_key(fs), fs_key(burst))] = \
+                    PolicyEntry(self._sig_of_node(succ), target, actions)
+                stack.append((succ, fs2, target))
         return policy
 
 
@@ -503,10 +511,8 @@ def replay_schedule(policy: Policy, root_sig, bursts, sys: SystemModel,
     """Apply a burst schedule from a policy root, verifying the policy's
     promises at every step; returns the final state."""
     state = _replay_root(policy, root_sig, sys, req)
-    sig = root_sig
     for burst in bursts:
-        sig, state = _replay_step(policy, sig, state, frozenset(burst),
-                                  sys, req)
+        state = _replay_step(policy, state, frozenset(burst), sys, req)
     return state
 
 
@@ -520,13 +526,13 @@ def _replay_root(policy: Policy, root_sig, sys: SystemModel,
     return State(cfg, EMPTY_FS)
 
 
-def _replay_step(policy: Policy, sig, state: State, burst: FailedSet,
-                 sys: SystemModel, req: ResilienceRequirement):
-    """One burst from the state ``sig``/``state``: look up the entry, apply
-    its actions and check its promises; returns (target signature, state).
-    The returned state holds the entry's own target configuration."""
+def _replay_step(policy: Policy, state: State, burst: FailedSet,
+                 sys: SystemModel, req: ResilienceRequirement) -> State:
+    """One burst from ``state``: look up its entry, apply the entry's
+    actions and check its promises.  The returned state holds the entry's
+    own target configuration."""
     fs2 = state.fs | burst
-    entry = policy.entry(sig, state.fs, burst)
+    entry = policy.entry(state.cfg, state.fs, burst)
     if entry is None:
         raise ReplayError("no policy entry for " + _where(burst, state.fs))
     st = State(remove_dead(state.cfg, fs2, sys), fs2)
@@ -542,7 +548,7 @@ def _replay_step(policy: Policy, sig, state: State, burst: FailedSet,
     if not avail(req.crit_fns, st.cfg, st.fs, sys):
         raise ReplayError("critical functionality unavailable after "
                           "reconfiguration")
-    return entry.target_sig, State(entry.target_cfg, fs2)
+    return State(entry.target_cfg, fs2)
 
 
 def _where(burst: FailedSet, fs: FailedSet) -> str:
@@ -580,24 +586,22 @@ def verify_policy(policy: Policy, sys: SystemModel,
     """
     if not worst_next_failed_sets(req.fm, EMPTY_FS, sys):
         return 0  # no schedule, so not even a root is replayed
-    memo = {}  # (signature, configuration, failed set) -> schedules below
+    memo = {}  # state -> schedules below it
     n = 0
     for sig, _ in policy.roots:
-        state = _replay_root(policy, sig, sys, req)
-        n += _verify_below(policy, sig, state, sys, req, memo)
+        n += _verify_below(policy, _replay_root(policy, sig, sys, req), sys,
+                           req, memo)
     return n
 
 
-def _verify_below(policy: Policy, sig, state: State, sys: SystemModel,
+def _verify_below(policy: Policy, state: State, sys: SystemModel,
                   req: ResilienceRequirement, memo: dict) -> int:
-    key = (sig, state.cfg, state.fs)
-    n = memo.get(key)
+    n = memo.get(state)
     if n is not None:
         return n
     n = 0
     for fs2 in worst_next_failed_sets(req.fm, state.fs, sys):
-        sig2, state2 = _replay_step(policy, sig, state, fs2 - state.fs,
-                                    sys, req)
-        n += 1 + _verify_below(policy, sig2, state2, sys, req, memo)
-    memo[key] = n
+        state2 = _replay_step(policy, state, fs2 - state.fs, sys, req)
+        n += 1 + _verify_below(policy, state2, sys, req, memo)
+    memo[state] = n
     return n

@@ -229,7 +229,7 @@ def test_criterion_9_policy_soundness(tmp_path):
                                SwInst("control", "c0"),
                                SwInst("localization", "c1"),
                                SwInst("planning", "c1"))
-        entry = res.policy.entry(best_sig, FS0, frozenset({crash("c0")}))
+        entry = res.policy.entry(best_cfg, FS0, frozenset({crash("c0")}))
         expected = {
             Stop(SwInst("planning", "c1")),
             ChangeReps("perception", ("c1",), "c1"),

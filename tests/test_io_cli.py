@@ -2,13 +2,16 @@
 
 import json
 import pathlib
+import random
 import subprocess
 import sys as _python
 
 import pytest
 
 from resilcfg import (
+    ModelError,
     ModelLoadError,
+    Synthesizer,
     load_model,
     load_policy,
     save_model,
@@ -18,6 +21,7 @@ from resilcfg import (
 )
 from resilcfg import fixtures, modelio
 from resilcfg.cli import main
+from conftest import random_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,13 +92,38 @@ def test_policy_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("quotient", ["off", "partial", "full"])
+def test_policies_round_trip_through_their_files(tmp_path, quotient):
+    """A policy read back from its file equals the policy: roots, entries
+    and model fingerprint.  Equal objects are read as one object."""
+    rng = random.Random(13)
+    models = [load_model(FIXTURES / (name + ".json"))
+              for name in ("example1", "example2", "tiny", "unsat")]
+    models += [random_model(rng) for _ in range(50)]
+    path = tmp_path / "policy.json"
+    for sys, req in models:
+        policy = Synthesizer(sys, req, quotient=quotient).solve().policy
+        save_policy(policy, path)
+        loaded = load_policy(path)
+        assert loaded == policy
+        assert loaded.model == modelio.model_fingerprint(sys, req)
+        configs = [cfg for _, cfg in loaded.roots]
+        for (state, _, _), entry in loaded.entries.items():
+            configs += [state, entry.target_cfg]
+        assert len(set(map(id, configs))) == len(set(configs))
+
+
 def test_empty_policy_round_trip(tmp_path):
     from resilcfg.synthesis import Policy
 
     path = tmp_path / "empty.json"
-    save_policy(Policy(), path)
+    with pytest.raises(ModelError, match="no model fingerprint"):
+        save_policy(Policy(), path)
+    fingerprint = modelio.model_fingerprint(*fixtures.tiny())
+    save_policy(Policy(model=fingerprint), path)
     loaded = load_policy(path)
     assert loaded.roots == [] and loaded.entries == {}
+    assert loaded.model == fingerprint
 
 
 def test_solve_runs_are_byte_identical(tmp_path):
@@ -197,8 +226,8 @@ def test_cli_replay_schedule(tmp_path):
                  "--policy", str(pol), "--schedule", str(bad)]) == 2
     # A policy without the entry for the scheduled burst is a gap.
     raw = json.loads(pol.read_text())
-    raw["entries"] = [e for e in raw["entries"]
-                      if e["burst"] != [["c0", "crash"]]]
+    c0 = raw["failedSets"].index([["c0", "crash"]])
+    raw["entries"] = [e for e in raw["entries"] if e[2] != c0]
     gap = tmp_path / "gap.json"
     gap.write_text(json.dumps(raw))
     assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
@@ -269,8 +298,9 @@ def _reject_first_action(pol):
     """Make the first action of every entry name an instance that is not
     there, so applying it raises ``ActionRejected``."""
     raw = json.loads(pol.read_text())
+    raw["actions"].append({"type": "stop", "sw": "LOC", "computer": "nowhere"})
     for e in raw["entries"]:
-        e["actions"][0] = {"type": "stop", "sw": "LOC", "computer": "nowhere"}
+        e[5][0] = len(raw["actions"]) - 1
     pol.write_text(json.dumps(raw))
 
 
@@ -340,20 +370,20 @@ def test_load_rejects_other_malformed_models(raw):
 
 
 def _with_short_fixed_si(raw):
-    raw["roots"][0]["signature"]["fixedSI"] = [["a"]]
+    raw["signatures"][0]["fixedSI"] = [["a"]]
     return raw
 
 
 def _with_bare_stop(raw):
-    raw["entries"][0]["actions"] = [{"type": "stop"}]
+    raw["actions"][0] = {"type": "stop"}
     return raw
 
 
 @pytest.mark.parametrize("broken, message", [
-    (lambda raw: {"roots": [{}], "entries": []},
-     "policy root: missing field 'signature'"),
-    (lambda raw: {"roots": [5], "entries": []},
-     "entry 0 of 'roots' has type int, expected an object"),
+    (lambda raw: dict(raw, roots=[[0]]),
+     "entry 0 of 'roots' has 1 entries, expected a list of 2"),
+    (lambda raw: dict(raw, roots=[5]),
+     "entry 0 of 'roots' has type int, expected a list of 2"),
     (_with_short_fixed_si,
      "entry 0 of 'fixedSI' has 1 entries, expected a list of 2"),
     (_with_bare_stop, "action: missing field 'sw'"),
@@ -365,6 +395,28 @@ def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
     pol.write_text(json.dumps(broken(json.loads(pol.read_text()))))
     capsys.readouterr()
     assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def _as_version_1(raw):
+    """The roots of a policy file in the layout before format version 2."""
+    return {"roots": [{"signature": raw["signatures"][s],
+                       "config": raw["configs"][c]} for s, c in raw["roots"]],
+            "entries": []}
+
+
+@pytest.mark.parametrize("model, change, message", [
+    ("example1", lambda raw: raw, "was solved for another model"),
+    ("tiny", _as_version_1, "format version None is not supported"),
+], ids=["another-model", "version-1-layout"])
+def test_cli_replay_policy_of_another_model_or_format_is_an_input_error(
+        tmp_path, capsys, model, change, message):
+    pol = _tiny_policy(tmp_path)
+    pol.write_text(json.dumps(change(json.loads(pol.read_text()))))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / (model + ".json")),
                  "--policy", str(pol), "--exhaustive"]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1

@@ -18,10 +18,10 @@ from resilcfg.modelio import policy_to_dict
 
 # The field names of policy files, so that generated objects reach past the
 # top-level checks.
-KEYS = ("roots", "entries", "signature", "config", "state", "target",
-        "burst", "actions", "failedSet", "fixedSI", "fixedRSI", "relocBag",
-        "si", "rsi", "type", "sw", "computer", "computers", "primary",
-        "stop", "stopRep", "start", "move", "changeReps")
+KEYS = ("version", "model", "signatures", "configs", "failedSets", "actions",
+        "roots", "entries", "fixedSI", "fixedRSI", "relocBag", "si", "rsi",
+        "type", "sw", "computer", "computers", "primary", "target", "stop",
+        "stopRep", "start", "move", "changeReps")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -93,6 +93,32 @@ def _loads_or_rejects(path, raw):
 
 def test_the_unmutated_policy_loads(policy_path):
     assert policy_to_dict(_load(policy_path, TINY)) == TINY
+
+
+# Where the tiny policy holds an index, and the table it indexes.
+INDEX_SLOTS = [(("roots", 0, 0), "signatures"), (("roots", 0, 1), "configs"),
+               (("entries", 0, 0), "configs"),
+               (("entries", 0, 1), "failedSets"),
+               (("entries", 0, 2), "failedSets"),
+               (("entries", 0, 3), "signatures"),
+               (("entries", 0, 4), "configs"),
+               (("entries", 0, 5, 0), "actions")]
+
+
+@pytest.mark.parametrize("slot, table", INDEX_SLOTS,
+                         ids=["-".join(map(str, s)) for s, _ in INDEX_SLOTS])
+@pytest.mark.parametrize("bad", [-1, "len", True, 1.0, "0"],
+                         ids=["minus-1", "len", "true", "1.0", "string-0"])
+def test_an_index_outside_its_table_is_rejected(policy_path, slot, table,
+                                                bad):
+    raw = copy.deepcopy(TINY)
+    row = raw
+    for key in slot[:-1]:
+        row = row[key]
+    row[slot[-1]] = len(TINY[table]) if bad == "len" else bad
+    with pytest.raises(ModelLoadError) as exc:
+        _load(policy_path, raw)
+    assert "\n" not in str(exc.value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -111,7 +111,7 @@ def test_policy_has_entries_for_both_bursts(tiny_sys, tiny_req):
     res = solve_best_resilient(tiny_sys, tiny_req)
     (sig, root) = res.policy.roots[0]
     for c in ("c0", "c1"):
-        entry = res.policy.entry(sig, FS0, frozenset({crash(c)}))
+        entry = res.policy.entry(root, FS0, frozenset({crash(c)}))
         assert entry is not None
         assert entry.actions  # a real reconfiguration is needed
     assert verify_policy(res.policy, tiny_sys, tiny_req) == 2
@@ -271,8 +271,9 @@ def test_a_corrupted_deep_entry_fails_verify_and_replay():
     per_root = len(list(worst_burst_schedules(req, sys)))
     assert per_root == 4 + 4 * 3  # one crash of four computers, then another
     assert verify_policy(policy, sys, req) == len(policy.roots) * per_root
-    key = max(k for k in policy.entries
-              if k[1] and policy.entries[k].actions)
+    key = max((k for k in policy.entries
+               if k[1] and policy.entries[k].actions),
+              key=lambda k: (k[0].key(),) + k[1:])
     entry = policy.entries[key]
     policy.entries[key] = PolicyEntry(entry.target_sig, entry.target_cfg,
                                       entry.actions[:-1])
@@ -312,19 +313,36 @@ def test_off_mode_policies_of_the_fixtures_replay(name):
     assert (walked > 0) == bool(result.resilient)
 
 
+@pytest.mark.parametrize("quotient", ["off", "partial", "full"])
+def test_members_of_one_class_at_one_failed_set_keep_their_own_entries(
+        quotient):
+    """In the 120th draw, schedule [c0], [c1] from the root
+    ``s0@c0 s1@c0 s2 x{c1}`` reaches ``s0@c1 s1@c2 s2 x{c1}`` after c0,
+    while another source reaches ``s0@c2 s1@c1 s2 x{c1}``, a member of the
+    same class, at the same failed set.  With ``off`` and ``partial`` both
+    are search states, and each needs its own entry for c1."""
+    rng = random.Random(11)
+    for _ in range(120):
+        sys, req = random_model(rng, max_computers=3, max_software=3)
+    policy = Synthesizer(sys, req, quotient=quotient).solve().policy
+    walked = verify_policy(policy, sys, req)
+    assert walked == _replay_each(policy, sys, req) > 0
+
+
 def test_verify_policy_tells_apart_states_of_one_class():
-    """A state reached again with its signature and failed set but another
-    configuration is walked again: the entries below it were derived for
-    the configuration the search explored and need not apply to it."""
+    """An entry whose target is another configuration of the recorded
+    target's class leads to a state the policy has no entries for: entries
+    are keyed by configuration, because the entries of the configuration
+    the search explored need not apply to another member of its class."""
     sys, req = _stepwise(fixtures.autonomous_driving_phone, 3)
     syn = Synthesizer(sys, req)
     policy = syn.solve().policy
     burst = frozenset({crash("c2")})
     sig, cfg = policy.roots[-1]
-    key = (sig, (), fs_key(burst))
+    key = (cfg, (), fs_key(burst))
     entry = policy.entries[key]
-    assert any(policy.entries[(s, (), fs_key(burst))].target_sig
-               == entry.target_sig for s, _ in policy.roots[:-1])
+    assert any(policy.entries[(c, (), fs_key(burst))].target_sig
+               == entry.target_sig for _, c in policy.roots[:-1])
     src = remove_dead(cfg, burst, sys)
     for other in syn.all_classes[entry.target_sig]:
         if (other == entry.target_cfg
