@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 
-from .model import CRASH, ModelError
-from .failures import EMPTY_FS, Failure, consistent, fs_key
+from .model import ModelError
+from .failures import fs_key
 from .synthesis import ReplayError, Synthesizer, replay_schedule, verify_policy
 from . import modelio
 
@@ -109,7 +109,7 @@ def _cmd_replay(args) -> int:
         return EXIT_OK
     if not args.schedule:
         raise modelio.ModelLoadError("replay needs --schedule or --exhaustive")
-    bursts = _read_schedule(args.schedule, sys_model, req)
+    bursts = modelio.load_schedule(args.schedule, sys_model, req)
     roots = policy.roots
     if args.root is not None:
         if not 0 <= args.root < len(roots):
@@ -123,37 +123,6 @@ def _cmd_replay(args) -> int:
         print("root %s: ok, final failed set %s"
               % (_short_config(cfg), [f.hw for f in fs_key(final.fs)]))
     return EXIT_OK
-
-
-def _read_schedule(path, sys_model, req) -> list:
-    """The bursts of a schedule file.  A schedule outside the failure model
-    is an input error, so that a replay failure always means a policy gap."""
-    raw = modelio._read_json(path)
-    if not (isinstance(raw, list)
-            and all(isinstance(burst, list) for burst in raw)):
-        raise modelio.ModelLoadError("%s: expected a list of bursts, each a "
-                                     "list of hardware ids" % path)
-    bursts = []
-    fs = EMPTY_FS
-    for i, ids in enumerate(raw, 1):
-        for hw in ids:
-            if not (isinstance(hw, str) and (hw in sys_model.computers
-                                             or hw in sys_model.devices)):
-                raise modelio.ModelLoadError("%s: burst %d names unknown "
-                                             "hardware %r" % (path, i, hw))
-        burst = frozenset(Failure(hw, CRASH) for hw in ids)
-        if not burst:
-            raise modelio.ModelLoadError("%s: burst %d is empty" % (path, i))
-        if burst & fs:
-            raise modelio.ModelLoadError("%s: burst %d fails hardware that "
-                                         "has already failed" % (path, i))
-        fs = fs | burst
-        if not consistent(fs, req.fm, sys_model):
-            raise modelio.ModelLoadError(
-                "%s: after burst %d the failed hardware %s exceeds the "
-                "failure model" % (path, i, sorted(f.hw for f in fs)))
-        bursts.append(burst)
-    return bursts
 
 
 def main(argv=None) -> int:

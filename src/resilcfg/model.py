@@ -212,28 +212,25 @@ class SystemModel:
 
     def __init__(self, hw: Iterable, sw: Iterable[Software],
                  protocols: Iterable[RepProtocol], sync: bool):
-        computers = {}
-        devices = {}
+        computers, devices = [], []
         for h in hw:
             if isinstance(h, Computer):
-                computers[h.id] = h
+                computers.append(h)
             elif isinstance(h, Device):
-                devices[h.id] = h
+                devices.append(h)
             else:
                 raise ModelError("not a hardware component: %r" % (h,))
-        self.computers = dict(sorted(computers.items()))
-        self.devices = dict(sorted(devices.items()))
-        self.software = dict(sorted((s.id, s) for s in sw))
-        self.protocols = dict(sorted((p.id, p) for p in protocols))
-        self.sync = bool(sync)
-
-        ids = (list(self.computers) + list(self.devices)
-               + list(self.software) + list(self.protocols))
+        sw, protocols = list(sw), list(protocols)
+        ids = [r.id for r in computers + devices + sw + protocols]
         if len(ids) != len(set(ids)):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ModelError("duplicate identifiers: %s" % ", ".join(dupes))
-        if len(computers) + len(devices) != len(self.computers) + len(self.devices):
-            raise ModelError("duplicate hardware identifiers")
+        # Identifiers are unique, so sorting never compares two records.
+        self.computers = dict(sorted((c.id, c) for c in computers))
+        self.devices = dict(sorted((d.id, d) for d in devices))
+        self.software = dict(sorted((s.id, s) for s in sw))
+        self.protocols = dict(sorted((p.id, p) for p in protocols))
+        self.sync = bool(sync)
 
         self._validate_power()
         self._validate_fn_graph()
@@ -254,10 +251,10 @@ class SystemModel:
         all_hw = set(self.computers) | set(self.devices)
         edges = {}
         for h in list(self.computers.values()) + list(self.devices.values()):
-            for p in h.power:
+            edges[h.id] = sorted(h.power)
+            for p in edges[h.id]:
                 if p not in all_hw:
                     raise ModelError("%s: unknown power source %r" % (h.id, p))
-            edges[h.id] = sorted(h.power)
         _check_acyclic(edges, "power references")
 
     def _validate_fn_graph(self):

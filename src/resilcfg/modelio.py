@@ -1,13 +1,18 @@
-"""JSON ingestion and serialization for models, policies, and reports.
+"""The four file formats: models, policies, replay schedules and reports.
 
 The model file has top-level keys ``system`` (computers, devices, software,
 protocols, sync), ``failureModel`` (bounds, maxSimult), and ``critFns``.
-Omitted optional fields mean "unset"; booleans are explicit.  Keys starting
-with an underscore are ignored everywhere, so fixtures can carry notes.
+The fields of each kind of record in those lists are defined once, in
+``RECORDS``, which both the reader and the writer walk.  Omitted optional
+fields take their defaults.  Keys starting with an underscore are ignored
+everywhere, so fixtures can carry notes.
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
 newline) so equal values serialize identically.  Policy files are compact
 (no indentation, no spaces after separators); model and report files keep
 ``indent=2``.
+
+A replay schedule is a list of bursts, each a list of the ids of hardware
+that crashes together.
 
 A policy file (format version 2) holds the model's fingerprint, four
 tables of distinct objects (``signatures``, ``configs``, ``failedSets``,
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+from typing import NamedTuple
 
 # The interpreter's own SHA-256.  ``hashlib`` loads OpenSSL, which adds about
 # 3.5 MB to the resident memory of every process that solves a model.
@@ -32,6 +38,7 @@ except ImportError:
         from hashlib import sha256
 
 from .model import (
+    CRASH,
     Computer,
     Config,
     Device,
@@ -42,7 +49,8 @@ from .model import (
     SystemModel,
     rep_inst,
 )
-from .failures import FailBound, FailureModel, Failure, fs_key
+from .failures import (EMPTY_FS, FailBound, FailureModel, Failure,
+                       consistent, fs_key)
 from .enumeration import ResilienceRequirement
 from .quotient import CanonicalSignature
 from .reconfig import ChangeReps, Move, Start, Stop, StopRep
@@ -86,7 +94,7 @@ def _get(d: dict, key: str, typ, where: str, default=_REQUIRED):
     """Field ``key`` of ``d``, checked against ``typ``.  JSON booleans are
     Python ints, so a boolean passes only where ``typ`` names ``bool``."""
     if key not in d:
-        if default != _REQUIRED:
+        if default is not _REQUIRED:
             return default
         raise ModelLoadError("%s: missing field %r" % (where, key))
     val = d[key]
@@ -125,16 +133,12 @@ def _str_tuple(d: dict, key: str, where: str, default=_REQUIRED) -> tuple:
     return tuple(items)
 
 
-def _strings(d: dict, key: str, where: str, default=_REQUIRED) -> frozenset:
-    """List field ``key`` of ``d`` whose entries are strings, as a set."""
-    return frozenset(_str_tuple(d, key, where, default))
-
-
 # Row shapes give, per position, the exact JSON types allowed there, or
 # ``_STRS`` for a list of strings, which is read as a tuple.
 _STRS = "a list of strings"
 _STR = (str,)
 _OPT_STR = (str, type(None))
+_OPT_INT = (int, type(None))
 
 
 def _rows(d: dict, key: str, shape: tuple, where: str) -> list:
@@ -174,6 +178,91 @@ def _shaped(items: list, shape: tuple, where: str, name: str) -> list:
 # -- models -------------------------------------------------------------
 
 
+class StrSet:
+    """Field type: a list of strings, read as a frozenset, written sorted."""
+
+
+class Record(NamedTuple):
+    """A kind of record in a model file: its class, its name in messages
+    (``{}`` stands for its id), and its (JSON key, attribute, type,
+    default) rows in reading order."""
+
+    cls: type
+    where: str
+    fields: tuple
+
+
+def _record(cls, where: str, *rows) -> Record:
+    """A ``Record`` from (JSON key, type[, default]) rows; a row without a
+    default is a required field.  The attribute is the key in snake case."""
+    return Record(cls, where, tuple(
+        (key, re.sub("(?<=[a-z])(?=[A-Z])", "_", key).lower(), typ,
+         default[0] if default else _REQUIRED)
+        for key, typ, *default in rows))
+
+
+# The records of a model file by (section, list key).  A field is one row
+# here and one property in docs/model.schema.json.
+RECORDS = {
+    ("system", "computers"): _record(
+        Computer, "computer {}", ("id", str), ("os", str), ("cpuArch", str),
+        ("cores", int), ("ram", int), ("devices", StrSet, ()),
+        ("wiredNIC", bool, False), ("wifiNIC", bool, True),
+        ("cellular", bool, False), ("power", StrSet, ())),
+    ("system", "devices"): _record(
+        Device, "device {}", ("id", str), ("deviceType", str),
+        ("power", StrSet, ())),
+    ("system", "software"): _record(
+        Software, "software {}", ("id", str), ("fn", str),
+        ("fnReq", StrSet, ()), ("devices", StrSet, ()),
+        ("cpuArch", _OPT_STR, None), ("os", _OPT_STR, None), ("ram", int, 0),
+        ("cores", int), ("cellular", bool, False), ("wired", bool, False),
+        ("deterministic", bool, False), ("fastStarting", bool, False),
+        ("migratable", bool, False), ("persisState", bool, False),
+        ("preferred", bool, False), ("remoteUse", bool, False),
+        ("resumable", bool, False), ("singleInstance", bool, False),
+        ("smallPersisState", bool, False)),
+    ("system", "protocols"): _record(
+        RepProtocol, "protocol {}", ("id", str), ("sync", bool),
+        ("active", bool), ("progressQ", str), ("reconfigQ", str),
+        ("failTypes", StrSet, (CRASH,))),
+    ("failureModel", "bounds"): _record(
+        FailBound, "failure bound", ("hwType", str), ("fType", str, CRASH),
+        ("n", int), ("maxSimult", _OPT_INT, None)),
+}
+_SYSTEM = ("computers", "devices", "software", "protocols")
+
+
+def _read_records(obj: dict, section: str, key: str) -> list:
+    """The records in list ``key`` of ``obj``, the model's ``section``."""
+    rec = RECORDS[section, key]
+    out = []
+    for d in _objects(obj, key, section):
+        where = rec.where.format(d.get("id", "?"))
+        kw = {}
+        for field, attr, typ, default in rec.fields:
+            if typ is StrSet:
+                kw[attr] = frozenset(_str_tuple(d, field, where, default))
+            else:
+                kw[attr] = _get(d, field, typ, where, default)
+        out.append(rec.cls(**kw))
+    return out
+
+
+def _write_records(records, section: str, key: str) -> list:
+    """``records`` as the objects of list ``key`` of the model's
+    ``section``."""
+    fields = RECORDS[section, key].fields
+    out = []
+    for obj in records:
+        d = {}
+        for field, attr, typ, _ in fields:
+            val = getattr(obj, attr)
+            d[field] = sorted(val) if typ is StrSet else val
+        out.append(d)
+    return out
+
+
 def load_model(path):
     """Read a model file; returns (system, resilience requirement)."""
     raw = _read_json(path)
@@ -188,81 +277,16 @@ def model_from_dict(raw: dict):
         raise ModelLoadError("model: has type %s, expected an object"
                              % type(raw).__name__)
     system = _get(raw, "system", dict, "model")
-    hw = []
-    for c in _objects(system, "computers", "system"):
-        where = "computer %s" % c.get("id", "?")
-        hw.append(Computer(
-            id=_get(c, "id", str, where),
-            os=_get(c, "os", str, where),
-            cpu_arch=_get(c, "cpuArch", str, where),
-            cores=_get(c, "cores", int, where),
-            ram=_get(c, "ram", int, where),
-            devices=_strings(c, "devices", where, []),
-            wired_nic=_get(c, "wiredNIC", bool, where, False),
-            wifi_nic=_get(c, "wifiNIC", bool, where, True),
-            cellular=_get(c, "cellular", bool, where, False),
-            power=_strings(c, "power", where, []),
-        ))
-    for d in _objects(system, "devices", "system"):
-        where = "device %s" % d.get("id", "?")
-        hw.append(Device(
-            id=_get(d, "id", str, where),
-            device_type=_get(d, "deviceType", str, where),
-            power=_strings(d, "power", where, []),
-        ))
-    software = []
-    for s in _objects(system, "software", "system"):
-        where = "software %s" % s.get("id", "?")
-        software.append(Software(
-            id=_get(s, "id", str, where),
-            fn=_get(s, "fn", str, where),
-            fn_req=_strings(s, "fnReq", where, []),
-            devices=_strings(s, "devices", where, []),
-            cpu_arch=_get(s, "cpuArch", (str, type(None)), where, None),
-            os=_get(s, "os", (str, type(None)), where, None),
-            ram=_get(s, "ram", int, where, 0),
-            cores=_get(s, "cores", int, where),
-            cellular=_get(s, "cellular", bool, where, False),
-            wired=_get(s, "wired", bool, where, False),
-            deterministic=_get(s, "deterministic", bool, where, False),
-            fast_starting=_get(s, "fastStarting", bool, where, False),
-            migratable=_get(s, "migratable", bool, where, False),
-            persis_state=_get(s, "persisState", bool, where, False),
-            preferred=_get(s, "preferred", bool, where, False),
-            remote_use=_get(s, "remoteUse", bool, where, False),
-            resumable=_get(s, "resumable", bool, where, False),
-            single_instance=_get(s, "singleInstance", bool, where, False),
-            small_persis_state=_get(s, "smallPersisState", bool, where, False),
-        ))
-    protocols = []
-    for p in _objects(system, "protocols", "system"):
-        where = "protocol %s" % p.get("id", "?")
-        protocols.append(RepProtocol(
-            id=_get(p, "id", str, where),
-            sync=_get(p, "sync", bool, where),
-            active=_get(p, "active", bool, where),
-            progress_q=_get(p, "progressQ", str, where),
-            reconfig_q=_get(p, "reconfigQ", str, where),
-            fail_types=_strings(p, "failTypes", where, ["crash"]),
-        ))
-    sys_model = SystemModel(hw=hw, sw=software, protocols=protocols,
+    found = {key: _read_records(system, "system", key) for key in _SYSTEM}
+    sys_model = SystemModel(hw=found["computers"] + found["devices"],
+                            sw=found["software"], protocols=found["protocols"],
                             sync=_get(system, "sync", bool, "system"))
-
     fm_raw = _get(raw, "failureModel", dict, "model")
-    bounds = []
-    for b in _objects(fm_raw, "bounds", "failureModel"):
-        bounds.append(FailBound(
-            hw_type=_get(b, "hwType", str, "failure bound"),
-            f_type=_get(b, "fType", str, "failure bound", "crash"),
-            n=_get(b, "n", int, "failure bound"),
-            max_simult=_get(b, "maxSimult", (int, type(None)),
-                            "failure bound", None),
-        ))
-    fm = FailureModel(bounds=tuple(bounds),
-                      max_simult=_get(fm_raw, "maxSimult", (int, type(None)),
+    fm = FailureModel(bounds=_read_records(fm_raw, "failureModel", "bounds"),
+                      max_simult=_get(fm_raw, "maxSimult", _OPT_INT,
                                       "failureModel", None))
-    crit = _strings(raw, "critFns", "model")
-    for fn in crit:
+    crit = frozenset(_str_tuple(raw, "critFns", "model"))
+    for fn in sorted(crit):
         if fn not in sys_model.fn_providers:
             raise ModelLoadError("critical functionality %r has no provider"
                                  % fn)
@@ -271,50 +295,15 @@ def model_from_dict(raw: dict):
 
 def model_to_dict(sys: SystemModel, req: ResilienceRequirement,
                   notes=None) -> dict:
-    def opt(v):
-        return v
-
-    out = {
-        "system": {
-            "sync": sys.sync,
-            "computers": [{
-                "id": c.id, "os": c.os, "cpuArch": c.cpu_arch,
-                "cores": c.cores, "ram": c.ram,
-                "devices": sorted(c.devices), "wiredNIC": c.wired_nic,
-                "wifiNIC": c.wifi_nic, "cellular": c.cellular,
-                "power": sorted(c.power),
-            } for c in sys.computers.values()],
-            "devices": [{
-                "id": d.id, "deviceType": d.device_type,
-                "power": sorted(d.power),
-            } for d in sys.devices.values()],
-            "software": [{
-                "id": s.id, "fn": s.fn, "fnReq": sorted(s.fn_req),
-                "devices": sorted(s.devices), "cpuArch": opt(s.cpu_arch),
-                "os": opt(s.os), "ram": s.ram, "cores": s.cores,
-                "cellular": s.cellular, "wired": s.wired,
-                "deterministic": s.deterministic,
-                "fastStarting": s.fast_starting, "migratable": s.migratable,
-                "persisState": s.persis_state, "preferred": s.preferred,
-                "remoteUse": s.remote_use, "resumable": s.resumable,
-                "singleInstance": s.single_instance,
-                "smallPersisState": s.small_persis_state,
-            } for s in sys.software.values()],
-            "protocols": [{
-                "id": p.id, "sync": p.sync, "active": p.active,
-                "progressQ": p.progress_q, "reconfigQ": p.reconfig_q,
-                "failTypes": sorted(p.fail_types),
-            } for p in sys.protocols.values()],
-        },
-        "failureModel": {
-            "bounds": [{
-                "hwType": b.hw_type, "fType": b.f_type, "n": b.n,
-                "maxSimult": b.max_simult,
-            } for b in req.fm.bounds],
-            "maxSimult": req.fm.max_simult,
-        },
-        "critFns": sorted(req.crit_fns),
-    }
+    system = {key: _write_records(getattr(sys, key).values(), "system", key)
+              for key in _SYSTEM}
+    system["sync"] = sys.sync
+    out = {"system": system,
+           "failureModel": {
+               "bounds": _write_records(req.fm.bounds, "failureModel",
+                                        "bounds"),
+               "maxSimult": req.fm.max_simult},
+           "critFns": sorted(req.crit_fns)}
     if notes:
         out["_notes"] = notes
     return out
@@ -524,6 +513,43 @@ def policy_from_dict(raw: dict) -> Policy:
             _at(sigs, tsig, "signatures"), _at(cfgs, tcfg, "configs"),
             tuple(_at(acts, a, "actions") for a in actions))
     return policy
+
+
+# -- replay schedules ------------------------------------------------------
+
+
+def load_schedule(path, sys: SystemModel,
+                  req: ResilienceRequirement) -> list:
+    """The bursts of a schedule file, a list of bursts that each list the
+    ids of hardware that crashes together.  A schedule outside the failure
+    model is an input error, so that a replay failure always means a policy
+    gap."""
+    raw = _read_json(path)
+    if not (isinstance(raw, list)
+            and all(isinstance(burst, list) for burst in raw)):
+        raise ModelLoadError("%s: expected a list of bursts, each a list of "
+                             "hardware ids" % path)
+    bursts = []
+    fs = EMPTY_FS
+    for i, ids in enumerate(raw, 1):
+        for hw in ids:
+            if not (isinstance(hw, str) and (hw in sys.computers
+                                             or hw in sys.devices)):
+                raise ModelLoadError("%s: burst %d names unknown hardware %r"
+                                     % (path, i, hw))
+        burst = frozenset(Failure(hw, CRASH) for hw in ids)
+        if not burst:
+            raise ModelLoadError("%s: burst %d is empty" % (path, i))
+        if burst & fs:
+            raise ModelLoadError("%s: burst %d fails hardware that has "
+                                 "already failed" % (path, i))
+        fs = fs | burst
+        if not consistent(fs, req.fm, sys):
+            raise ModelLoadError(
+                "%s: after burst %d the failed hardware %s exceeds the "
+                "failure model" % (path, i, sorted(f.hw for f in fs)))
+        bursts.append(burst)
+    return bursts
 
 
 # -- run reports -------------------------------------------------------------

@@ -473,19 +473,15 @@ class Synthesizer:
 
 
 def resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,
-              sys: SystemModel, synthesizer: Synthesizer = None,
-              use_worst_bursts: bool = True) -> bool:
+              sys: SystemModel) -> bool:
     """Recursive resilience of one state; see ``Synthesizer.check_state``."""
-    syn = synthesizer or Synthesizer(sys, req,
-                                     use_worst_bursts=use_worst_bursts)
-    return syn.check_state(cfg, fs)
+    return Synthesizer(sys, req).check_state(cfg, fs)
 
 
 def one_resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,
-                  sys: SystemModel, synthesizer: Synthesizer = None) -> bool:
+                  sys: SystemModel) -> bool:
     """Non-recursive variant: one reconfiguration must restore availability."""
-    syn = synthesizer or Synthesizer(sys, req)
-    return syn.check_state_one(cfg, fs)
+    return Synthesizer(sys, req).check_state_one(cfg, fs)
 
 
 def solve_resilient(sys: SystemModel, req: ResilienceRequirement,

@@ -46,20 +46,52 @@ def _paths(obj, prefix=()):
         yield from _paths(val, prefix + (key,))
 
 
+def _at(obj, path):
+    """The value at ``path`` inside ``obj``."""
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 PATHS = [sorted(_paths(raw), key=repr) for raw in FIXTURES]
+# The paths of the records, the objects inside the model's lists.
+RECORD_PATHS = [[p for p in paths if isinstance(p[-1], int)
+                 and isinstance(_at(raw, p), dict)]
+                for raw, paths in zip(FIXTURES, PATHS)]
+
+
+def _copy_record(draw, raw, paths):
+    """Insert a copy of one record of ``raw`` next to it, sometimes with
+    one field replaced."""
+    path = draw(st.sampled_from(paths))
+    try:
+        records, record = _at(raw, path[:-1]), _at(raw, path)
+    except (KeyError, IndexError, TypeError):
+        return  # an earlier mutation removed this path
+    if not isinstance(record, dict):
+        return
+    twin = copy.deepcopy(record)
+    if twin and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(twin)))
+        twin[key] = draw(st.just(not twin[key]) if isinstance(twin[key], bool)
+                         else json_values)
+    records.insert(path[-1], twin)
 
 
 @st.composite
-def mutated_models(draw):
-    """A fixture model with one to three values replaced or deleted."""
+def mutated_models(draw, copies=False):
+    """A fixture model with one to three values replaced or deleted or,
+    with ``copies``, records copied."""
     i = draw(st.sampled_from(range(len(FIXTURES))))
     raw = copy.deepcopy(FIXTURES[i])
     for _ in range(draw(st.integers(1, 3))):
+        if copies and draw(st.integers(0, 2)) == 0:
+            _copy_record(draw, raw, RECORD_PATHS[i])
+            continue
         path = draw(st.sampled_from(PATHS[i]))
-        parent, last = raw, path[-1]
+        last = path[-1]
         try:
-            for key in path[:-1]:
-                parent = parent[key]
+            parent = _at(raw, path[:-1])
         except (KeyError, IndexError, TypeError):
             continue  # an earlier mutation removed this path
         if not (isinstance(parent, dict) and last in parent
@@ -95,4 +127,10 @@ def test_arbitrary_json_loads_or_is_rejected(raw):
 @settings(max_examples=200, deadline=None)
 @given(raw=mutated_models())
 def test_mutated_models_load_or_are_rejected(raw):
+    _loads_or_rejects(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=mutated_models(copies=True))
+def test_models_with_copied_records_load_or_are_rejected(raw):
     _loads_or_rejects(raw)
