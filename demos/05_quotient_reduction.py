@@ -3,9 +3,12 @@
 Relocatable components (stateless, fast-starting, resumable, remotely
 usable where needed) can be re-hosted by a stop and a start, so
 configurations differing only in their hosts are interchangeable for
-resilience purposes.  The analysis explores one representative per class.
+resilience purposes.  The analysis explores one representative per class,
+and the classes are enumerated directly: their members are counted, and
+listed only on request.
 """
 
+import itertools
 import time
 
 from resilcfg import rs_equivalent, signature
@@ -15,15 +18,15 @@ from resilcfg.synthesis import Synthesizer
 sys, req = autonomous_driving_phone(n_computers=3)
 
 syn = Synthesizer(sys, req)
-syn.build()
-print("relevant configurations:", len(syn.all_cfgs))
-print("equivalence classes    :", len(syn.all_classes))
+result = syn.solve("best")
+print("relevant configurations:", result.n_all)
+print("equivalence classes    :", result.n_all_classes)
 
-sizes = sorted((len(m) for m in syn.all_classes.values()), reverse=True)
+sizes = sorted((cls.size for cls in syn.classes), reverse=True)
 print("largest classes        :", sizes[:8])
 
-some_class = max(syn.all_classes.values(), key=len)
-a, b = some_class[0], some_class[1]
+biggest = max(syn.classes, key=lambda cls: cls.size)
+a, b = itertools.islice(biggest.members(), 2)
 print("\ntwo members of one class:")
 print("  ", a)
 print("  ", b)

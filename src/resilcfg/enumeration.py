@@ -1,15 +1,26 @@
-"""Generation of the relevant-configuration universes.
+"""Enumeration of the quotient classes of the relevant configurations.
 
-``generate_all_configs`` enumerates every valid configuration that could
+The relevant configurations are every valid configuration that could
 matter to the resilience analysis, skipping irrelevant ones: configurations
 that leave a critical functionality without any provider instance, that
 replicate a sole critical provider outside the useful replica-count window,
-or that run several instances of a remotely usable component.
+or that run several instances of a remotely usable component.  The initial
+configurations narrow them further for the top-level search: a canonical
+primary is fixed when all replica hosts are attribute-identical, and
+replica members must actually be able to run the software in the
+failure-free state.
 
-``generate_init_configs`` narrows further for the top-level search over
-initial states: a canonical primary is fixed when all replica hosts are
-attribute-identical, and replica members must actually be able to run the
-software in the failure-free state.
+The universe is enumerated class by class, not configuration by
+configuration (symmetry reduction with canonical representatives).  A class
+is a signature of ``quotient``: fixed placements plus a bag of (software,
+devices-used-on-host) slots for the relocatable instances.  Whether a
+component is relocatable depends only on the set of components that have
+instances, so ``enumerate_classes`` walks those present-software sets.  For
+each one it places the non-relocatable components as before and, for each
+fixed part, counts the budget-feasible assignments of every bag to hosts
+with a count memoized over the hosts' remaining cores and RAM.  It builds
+no configuration for the members it counts.  ``QuotientClass.members``
+lists them on demand, in ``Config.key`` order.
 """
 
 from __future__ import annotations
@@ -24,10 +35,12 @@ from .model import (
     Software,
     SwInst,
     SystemModel,
+    _rsi_key,
     compatible,
     rep_inst,
 )
 from .failures import CRASH, EMPTY_FS, FailureModel
+from .quotient import CanonicalSignature, relocatable_among
 from .reconfig import can_run
 
 
@@ -134,66 +147,243 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
     return opts
 
 
-def generate_all_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
-    """All relevant valid configurations, key-sorted.
-
-    Software is visited in id order and the hosts of each option in computer
-    order, so the instance tuples a leaf accumulates are already canonical:
-    a leaf is ``Config(si, rsi)`` of them, sharing the options' instances.
-    Critical coverage depends only on which components have instances, so it
-    is decided per bitmask of present components before a leaf is built.
-    """
+def _placement_options(sys: SystemModel, req: ResilienceRequirement):
+    """Per component, in id order: (software, options), each option an
+    (si tuple, rsi tuple, indices of its hosts) triple.  Hosts are indexed
+    in ``sys.computer_ids`` order, and a computer counts once even when it
+    hosts both an unreplicated instance and a replica of the component."""
     f = max_simult_fail(req.fm)
     crit_sw = critical_software(sys, req.crit_fns)
-    soft = list(sys.software.values())
-    bit = {sw.id: 1 << i for i, sw in enumerate(soft)}
-    crit_masks = [sum(bit[sid] for sid in sys.fn_providers.get(fn, ()))
-                  for fn in req.crit_fns]
-    covered = {}  # present-component mask -> every critical fn provided
-
-    # Per component: its demand and its options as (si tuple, rsi tuple,
-    # hosts, presence bit).  A computer runs a component at most once even
-    # when it hosts both an unreplicated instance and a replica of it.
-    levels = []
-    for sw in soft:
+    index = {c: i for i, c in enumerate(sys.computer_ids)}
+    out = []
+    for sw in sys.software.values():
         opts = []
         for si_set, r in _software_options(sw, sys, sw.id in crit_sw, f):
-            hosts = {s.computer for s in si_set}
+            hosts = {index[s.computer] for s in si_set}
             if r is not None:
-                hosts.update(r.computers)
+                hosts.update(index[c] for c in r.computers)
             opts.append((si_set, () if r is None else (r,),
-                         tuple(sorted(hosts)), bit[sw.id] if hosts else 0))
-        levels.append((sw.cores, sw.ram, opts))
+                         tuple(sorted(hosts))))
+        out.append((sw, opts))
+    return out
 
-    cores_left = {c.id: c.cores for c in sys.computers.values()}
-    ram_left = {c.id: c.ram for c in sys.computers.values()}
+
+def _critical_masks(sys: SystemModel, req: ResilienceRequirement) -> list:
+    """Per critical functionality, the bits of its providers (bit ``i`` is
+    the ``i``-th component in id order); a set of present components
+    provides every critical functionality when it meets each mask."""
+    bit = {sid: 1 << i for i, sid in enumerate(sys.software)}
+    return [sum(bit[sid] for sid in sys.fn_providers.get(fn, ()))
+            for fn in req.crit_fns]
+
+
+def _take(hosts, sw: Software, cores: tuple, ram: tuple):
+    """The core and RAM budgets left on each computer once ``sw`` runs on
+    ``hosts``; None when it does not fit."""
+    cores, ram = list(cores), list(ram)
+    for h in hosts:
+        cores[h] -= sw.cores
+        ram[h] -= sw.ram
+        if cores[h] < 0 or ram[h] < 0:
+            return None
+    return tuple(cores), tuple(ram)
+
+
+class QuotientClass:
+    """One class of relevant configurations, kept without its members.
+
+    ``fixed`` is the configuration of its fixed placements: the instances
+    of non-relocatable software and every replicated instance.  ``slots``
+    holds one (software, host combinations) pair per relocatable component,
+    in id order; the combinations are those whose devices-used-on-host
+    multiset is the component's part of the bag, each as (host indices,
+    host bitmask, instances), in host order.  ``cores`` and ``ram`` are the
+    budgets the fixed part leaves on each computer, kept only by a class
+    with slots, whose walk reads them.  ``size`` counts the members,
+    ``first`` is the first member in key order, and ``initial`` tells
+    whether the members are initial configurations.
+    """
+
+    __slots__ = ("sig", "fixed", "slots", "cores", "ram", "size", "first",
+                 "initial", "_built")
+
+    def __init__(self, sig, fixed, slots, cores, ram, size):
+        self.sig = sig
+        self.fixed = fixed
+        self.slots = slots
+        self.cores, self.ram = (cores, ram) if slots else ((), ())
+        # relocatable instances -> the member built for them
+        self._built = {} if slots else None
+        self.size = size
+        self.first = self.first_member(0)
+        self.initial = False
+
+    def members(self, dead: int = 0):
+        """The members whose relocatable instances avoid the computers with
+        a bit in ``dead``, in ``Config.key`` order; each member is built
+        once and shared by later calls.
+
+        The walk is a lexicographic depth-first search over each slot's
+        host combinations.  Each component has as many instances in every
+        member as its part of the bag, so the instances of one component
+        form one block of equal length in every member's sorted ``si``, and
+        comparing two members' keys compares these blocks in id order: the
+        walk's order.  A (slot, budgets) point that yields nothing is not
+        walked again."""
+        if not self.slots:
+            yield self.fixed
+            return
+        built = self._built
+        for placed in _walk(self.slots, 0, self.cores, self.ram, dead, set()):
+            cfg = built.get(placed)
+            if cfg is None:
+                cfg = built[placed] = Config(
+                    tuple(sorted(self.fixed.si + placed)), self.fixed.rsi)
+            yield cfg
+
+    def first_member(self, dead: int):
+        """The first of ``members(dead)``; None when there is none."""
+        if not self.slots:
+            return self.fixed
+        return next(self.members(dead), None)
+
+
+def _walk(slots, i, cores, ram, dead, dead_ends):
+    """The instances of slots ``i`` onwards on hosts outside ``dead`` and
+    within the budgets, in lexicographic order; ``dead_ends`` collects the
+    (slot, budgets) points that yield nothing."""
+    if i == len(slots):
+        yield ()
+        return
+    if (i, cores, ram) in dead_ends:
+        return
+    sw, combos = slots[i]
+    found = False
+    for hosts, mask, insts in combos:
+        left = None if mask & dead else _take(hosts, sw, cores, ram)
+        if left is None:
+            continue
+        for rest in _walk(slots, i + 1, *left, dead, dead_ends):
+            found = True
+            yield insts + rest
+    if not found:
+        dead_ends.add((i, cores, ram))
+
+
+def enumerate_classes(sys: SystemModel, req: ResilienceRequirement) -> list:
+    """Every class of relevant configurations, sorted by signature."""
+    options = _placement_options(sys, req)
+    crit_masks = _critical_masks(sys, req)
+    may_be_absent = [any(not hosts for _, _, hosts in opts)
+                     for _, opts in options]
+    # The options with instances, each with its replicated instances' part
+    # of the signature, shared by every class that uses the option.
+    present_opts = [[(si_set, rsi, hosts, tuple(map(_rsi_key, rsi)))
+                     for si_set, rsi, hosts in opts if hosts]
+                    for _, opts in options]
+
+    def presences(i, mask):
+        """Sets of present components as bitmasks, critical ones covered."""
+        if i == len(options):
+            if all(m & mask for m in crit_masks):
+                yield mask
+            return
+        if may_be_absent[i]:
+            yield from presences(i + 1, mask)
+        if present_opts[i]:
+            yield from presences(i + 1, mask | 1 << i)
+
+    classes = []
+    for mask in presences(0, 0):
+        classes.extend(_classes_with(mask, options, present_opts, sys))
+    classes.sort(key=lambda c: c.sig)
+    # Whether a class is initial is decided once, on its first member.  The
+    # test reads the replicated instances, which are fixed, and the
+    # runnability of their members, which depends on the hosts of
+    # relocatable providers only through their devices, which the bag
+    # fixes.
+    static = {}
+    for cls in classes:
+        cls.initial = _init_relevant(cls.first, sys, static)
+    return classes
+
+
+def _classes_with(mask: int, options, present_opts, sys: SystemModel):
+    """The classes whose present components are the bits of ``mask``."""
+    present_idx = [i for i in range(len(options)) if mask >> i & 1]
+    present = {options[i][0].id for i in present_idx}
+    reloc, fixed = [], []
+    for i in present_idx:
+        sw = options[i][0]
+        (reloc if relocatable_among(sw, present, sys) else fixed).append(i)
+
+    # Each relocatable component's host combinations, grouped by the bag
+    # they give it.  Relocatable software is startable, so never stateful,
+    # and its options are plain instance sets.
+    devices = [c.devices for c in sys.computers.values()]
+    groups = []
+    for i in reloc:
+        sw = options[i][0]
+        by_bag = {}
+        for si_set, _, hosts, _ in present_opts[i]:
+            bag = tuple(sorted(tuple(sorted(sw.devices & devices[h]))
+                               for h in hosts))
+            mask_h = sum(1 << h for h in hosts)
+            by_bag.setdefault(bag, []).append((hosts, mask_h, si_set))
+        groups.append((sw, by_bag))
+
+    memo = {}
+
+    def count(j, cores, ram):
+        """{bags of components ``reloc[j:]``: budget-feasible assignments}."""
+        if j == len(groups):
+            return {(): 1}
+        key = (j, cores, ram)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = {}
+            sw, by_bag = groups[j]
+            for bag, combos in by_bag.items():
+                for hosts, _, _ in combos:
+                    left = _take(hosts, sw, cores, ram)
+                    if left is None:
+                        continue
+                    for rest, n in count(j + 1, *left).items():
+                        out[(bag,) + rest] = out.get((bag,) + rest, 0) + n
+        return out
+
     out = []
 
-    def dfs(i, si_acc, rsi_acc, mask):
-        if i == len(levels):
-            ok = covered.get(mask)
-            if ok is None:
-                ok = covered[mask] = all(m & mask for m in crit_masks)
-            if ok:
-                out.append(Config(si_acc, rsi_acc))
+    def place(k, cores, ram, si, rsi, rsi_keys):
+        if k == len(fixed):
+            fixed_cfg = Config(si, rsi)
+            for bags, size in count(0, cores, ram).items():
+                slots = tuple((sw, tuple(by_bag[bag]))
+                              for (sw, by_bag), bag in zip(groups, bags))
+                reloc_bag = tuple((sw.id, d) for (sw, _), bag in
+                                  zip(groups, bags) for d in bag)
+                sig = CanonicalSignature(si, rsi_keys, reloc_bag)
+                out.append(QuotientClass(sig, fixed_cfg, slots, cores, ram,
+                                         size))
             return
-        cores, ram, opts = levels[i]
-        for si_set, rsi_add, hosts, present in opts:
-            for h in hosts:
-                if cores > cores_left[h] or ram > ram_left[h]:
-                    break
-            else:
-                for h in hosts:
-                    cores_left[h] -= cores
-                    ram_left[h] -= ram
-                dfs(i + 1, si_acc + si_set, rsi_acc + rsi_add, mask | present)
-                for h in hosts:
-                    cores_left[h] += cores
-                    ram_left[h] += ram
+        sw = options[fixed[k]][0]
+        for si_set, rsi_add, hosts, keys_add in present_opts[fixed[k]]:
+            left = _take(hosts, sw, cores, ram)
+            if left is not None:
+                place(k + 1, *left, si + si_set, rsi + rsi_add,
+                      rsi_keys + keys_add)
 
-    dfs(0, (), (), 0)
-    out.sort(key=Config.key)
+    place(0, tuple(c.cores for c in sys.computers.values()),
+          tuple(c.ram for c in sys.computers.values()), (), (), ())
     return out
+
+
+def generate_all_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
+    """All relevant valid configurations, key-sorted: every member of every
+    class."""
+    classes = enumerate_classes(sys, req)
+    return sorted(itertools.chain.from_iterable(c.members() for c in classes),
+                  key=Config.key)
 
 
 def _all_equivalent(members, sys: SystemModel) -> bool:

@@ -222,14 +222,13 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
 class HostLoss:
     """Bitmask form of ``remove_dead`` for one system.
 
-    Each computer gets a bit in ``sys.computer_ids`` order.  The loss key of
-    a configuration is (the OR of the host bits of its unreplicated
-    instances whose software does not survive host loss, the member masks
-    of its replicated instances whose software does not survive host loss).
-    ``remove_dead(cfg, fs) == cfg`` exactly when the first part misses
-    ``dead(fs)`` and every member mask keeps a bit outside it.  Replicated
-    instances always have members (``rep_inst``), and failed devices set no
-    bit, so device failures never remove anything.
+    Each computer gets a bit in ``sys.computer_ids`` order.  ``remove_dead``
+    keeps all of a configuration exactly when no unreplicated instance of
+    software that does not survive host loss sits on a failed computer and
+    every replicated instance of such software keeps a member outside the
+    failed computers.  Replicated instances always have members
+    (``rep_inst``), and failed devices set no bit, so device failures never
+    remove anything.
     """
 
     def __init__(self, sys: SystemModel):
@@ -245,20 +244,17 @@ class HostLoss:
             mask |= bits.get(f.hw, 0)
         return mask
 
-    def key(self, cfg: Config) -> tuple:
+    def keeps(self, cfg: Config, dead: int) -> bool:
+        """``remove_dead(cfg, fs) == cfg`` for a failed set ``fs`` whose
+        failed computers have the bits ``dead``."""
         bits, fragile = self.bits, self.fragile
-        hosts = 0
         for s in cfg.si:
-            if s.sw in fragile:
-                hosts |= bits[s.computer]
-        reps = []
+            if s.sw in fragile and bits[s.computer] & dead:
+                return False
         for r in cfg.rsi:
-            if r.sw in fragile:
-                mask = 0
-                for c in r.computers:
-                    mask |= bits[c]
-                reps.append(mask)
-        return hosts, tuple(reps)
+            if r.sw in fragile and all(bits[c] & dead for c in r.computers):
+                return False
+        return True
 
 
 def apply_failures(state: State, burst: Iterable[Failure], sys: SystemModel) -> State:

@@ -101,8 +101,15 @@ def _get(d: dict, key: str, typ, where: str, default=_REQUIRED):
     if typ is not None and not _has_type(val, typ):
         raise ModelLoadError("%s: field %r has type %s, expected %s"
                              % (where, key, type(val).__name__,
-                                getattr(typ, "__name__", typ)))
+                                _type_names(typ)))
     return val
+
+
+def _type_names(typ) -> str:
+    """A type, or a tuple of types joined with " or ", by JSON-facing name:
+    ``NoneType`` reads ``null``."""
+    return " or ".join("null" if t is type(None) else t.__name__
+                       for t in (typ if isinstance(typ, tuple) else (typ,)))
 
 
 def _has_type(val, typ) -> bool:
@@ -168,8 +175,7 @@ def _shaped(items: list, shape: tuple, where: str, name: str) -> list:
                 raise ModelLoadError(
                     "%s: entry %d of %r holds %s where %s is expected"
                     % (where, i, name, type(val).__name__, _STRS
-                       if typ is _STRS else " or ".join(t.__name__
-                                                        for t in typ)))
+                       if typ is _STRS else _type_names(typ)))
             vals.append(tuple(val) if typ is _STRS else val)
         rows.append(tuple(vals))
     return rows

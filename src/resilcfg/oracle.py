@@ -3,8 +3,9 @@
 Everything here trades performance for obviousness: resilience by literal
 recursion over all bursts with successors drawn from every valid
 configuration, reachability by breadth-first search over action sequences,
-and exhaustive enumeration of valid configurations.  A size guard refuses
-models where the exponential blowup would bite.
+exhaustive enumeration of valid configurations, and the relevant
+configurations listed one by one.  A size guard refuses models where the
+exponential blowup would bite.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from .reconfig import (
     can_reconfigure,
     derive_actions,
 )
-from .enumeration import ResilienceRequirement
+from .enumeration import (
+    ResilienceRequirement,
+    _critical_masks,
+    _placement_options,
+    _take,
+)
 
 
 class GuardExceeded(Exception):
@@ -93,6 +99,38 @@ def all_valid_configs(sys: SystemModel) -> list:
         cfg = Config.make(si, rsi)
         if valid_config(cfg, sys):
             out.append(cfg)
+    out.sort(key=Config.key)
+    return out
+
+
+def relevant_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
+    """Every relevant configuration, key-sorted, one leaf of a depth-first
+    search per configuration: the reference for the members of
+    ``enumeration.enumerate_classes``.
+
+    The search visits the components in id order and their placement
+    options in turn, keeps the core and RAM budgets of every computer, and
+    keeps a leaf when its present components provide every critical
+    functionality.
+    """
+    options = _placement_options(sys, req)
+    crit_masks = _critical_masks(sys, req)
+    out = []
+
+    def dfs(i, cores, ram, si, rsi, mask):
+        if i == len(options):
+            if all(m & mask for m in crit_masks):
+                out.append(Config(si, rsi))
+            return
+        sw, opts = options[i]
+        for si_set, rsi_add, hosts in opts:
+            left = _take(hosts, sw, cores, ram)
+            if left is not None:
+                dfs(i + 1, *left, si + si_set, rsi + rsi_add,
+                    mask | (1 << i if hosts else 0))
+
+    dfs(0, tuple(c.cores for c in sys.computers.values()),
+        tuple(c.ram for c in sys.computers.values()), (), (), 0)
     out.sort(key=Config.key)
     return out
 

@@ -12,21 +12,25 @@ software- and device-intersection-preserving bijection between the two sets
 exists if and only if the multisets of (software, devices-used-on-host)
 pairs coincide, so signature equality and the bijection definition agree.
 
-Signatures are computed in one place, ``Signer``, which ``signature`` and
-``partition_members`` share through one signer per system model.  It caches
-the two halves of a signature apart, and both caches are exact.  The
-replicated half, ``fixed_rsi``, is a function of the replicated instances
-alone, so it is cached per ``rsi`` tuple.  The unreplicated half,
-``fixed_si`` and ``reloc_bag``, is a function of the unreplicated instances
-and of which components are relocatable; and whether a component is
-relocatable depends only on the set of software that has instances (a
-dependent or a provider counts once however many instances it has), which
-is the software of those instances plus the replicated software.  So that
-half is cached per (``si`` tuple, replicated software set).  Configurations
-of one model share few such keys (3,025 for the 224,720 configurations of
-example1 at scale 5), so each key is worked out once.  ``Synthesizer.build``
-signs each configuration once, in ``partition_members``, and reads the
-initial classes off the class members.
+The solver does not partition configurations: ``enumeration`` enumerates
+the classes directly, as (fixed part, bag) pairs per set of present
+components, and counts their members.  ``signature`` signs one listed
+configuration (the "off" and "partial" solves sign their nodes with it),
+and ``partition_members`` groups listed configurations by signature; the
+tests use both as the reference for the class enumerator.
+
+Signatures of listed configurations are computed in one place, ``Signer``,
+which ``signature`` and ``partition_members`` share through one signer per
+system model.  It caches the two halves of a signature apart, and both
+caches are exact.  The replicated half, ``fixed_rsi``, is a function of the
+replicated instances alone, so it is cached per ``rsi`` tuple.  The
+unreplicated half, ``fixed_si`` and ``reloc_bag``, is a function of the
+unreplicated instances and of which components are relocatable; and
+whether a component is relocatable depends only on the set of software
+that has instances (a dependent or a provider counts once however many
+instances it has), which is the software of those instances plus the
+replicated software.  So that half is cached per (``si`` tuple, replicated
+software set).
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ def relocatable(sw: Software, cfg: Config, sys: SystemModel) -> bool:
     replicated as well as unreplicated dependents: a co-location-bound
     dependent of either kind would make the host choice observable.
     """
-    return _relocatable_among(sw, set(cfg.instance_software()), sys)
+    return relocatable_among(sw, set(cfg.instance_software()), sys)
 
 
-def _relocatable_among(sw: Software, present, sys: SystemModel) -> bool:
+def relocatable_among(sw: Software, present, sys: SystemModel) -> bool:
     """``relocatable`` in a configuration whose instances are of the
     software ids ``present``."""
     if not sw.startable:
@@ -110,7 +114,7 @@ class Signer:
         sys = self._sys()
         present = {si.sw for si in si_tuple} | rsi_sw
         reloc = {sid for sid in present
-                 if _relocatable_among(sys.sw(sid), present, sys)}
+                 if relocatable_among(sys.sw(sid), present, sys)}
         fixed = []
         bag = []
         for si in si_tuple:

@@ -19,8 +19,10 @@ relocatable instances can be re-hosted freely during reconfiguration.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .model import CRASH, Config, ModelError, SystemModel, valid_config
@@ -43,12 +45,20 @@ from .reconfig import (
     can_reconfigure,
     derive_actions,
 )
-from .enumeration import (
+# ``generate_all_configs``, ``generate_init_configs`` and
+# ``partition_members`` are not called here, but the benchmark's layer
+# tracer (``perfbench/tracer.py``) patches these names in this module.
+from .enumeration import (  # noqa: F401
     ResilienceRequirement,
+    enumerate_classes,
     generate_all_configs,
     generate_init_configs,
 )
-from .quotient import CanonicalSignature, partition_members, signature
+from .quotient import (  # noqa: F401
+    CanonicalSignature,
+    partition_members,
+    signature,
+)
 
 QUOTIENT_MODES = ("off", "partial", "full")
 
@@ -162,15 +172,20 @@ class SolveResult:
 
 
 class Synthesizer:
-    """Shared search context: universes, quotient, per-failed-set contexts.
+    """Shared search context: the quotient classes, the search nodes and
+    the per-failed-set contexts.
 
+    ``build`` enumerates the classes of relevant configurations without
+    listing their members (``enumeration.enumerate_classes``).
     ``quotient`` selects how much of the class reduction to use, and decides
     only what a search node is and which nodes are roots.  With "full" a
     node is a class signature standing for the class members, and the roots
     are the initial classes.  With "off" and "partial" a node is a
     configuration standing for itself; "off" roots every initial
     configuration, "partial" only the first member of each initial class.
-    Everything else runs the same way in every mode.
+    Everything else runs the same way in every mode.  ``all_classes``,
+    ``all_cfgs`` and ``init_cfgs`` list the members after ``build``; they
+    are expanded when first read, and a "full" solve reads none of them.
     """
 
     def __init__(self, sys: SystemModel, req: ResilienceRequirement,
@@ -183,7 +198,7 @@ class Synthesizer:
         self.use_worst_bursts = use_worst_bursts
         self._built = False
         self._host_loss = HostLoss(sys)
-        self._loss_groups = {}
+        self._states = {}    # failed-computer bits -> {node: state config}
         self._contexts = {}  # failed set -> _FailedSetContext
         self.generate_seconds = 0.0
 
@@ -193,34 +208,48 @@ class Synthesizer:
         if self._built:
             return
         t0 = time.perf_counter()
-        self.all_cfgs = generate_all_configs(self.sys, self.req)
-        self.init_cfgs = generate_init_configs(self.sys, self.req,
-                                               self.all_cfgs)
-        self.all_classes = partition_members(self.all_cfgs, self.sys)
-        # A class is initial when it holds an initial configuration.  The
-        # initial configurations are a sublist of ``all_cfgs``, the very
-        # objects, so membership goes by identity and hashes no
-        # configuration.
-        init_ids = set(map(id, self.init_cfgs))
-        self.init_sigs = {sig for sig, members in self.all_classes.items()
-                          if any(id(m) in init_ids for m in members)}
+        self.classes = enumerate_classes(self.sys, self.req)
+        self.init_sigs = {cls.sig for cls in self.classes if cls.initial}
         if self.quotient == "full":
-            self._members = self.all_classes
+            firsts = {cls.sig: cls.first for cls in self.classes}
             roots = self.init_sigs
+            self._states_at = self._class_states
         else:
-            self._members = {cfg: (cfg,) for cfg in self.all_cfgs}
+            firsts = {cfg: cfg for cfg in self.all_cfgs}
             roots = (set(self.init_cfgs) if self.quotient == "off" else
                      {self.all_classes[sig][0] for sig in self.init_sigs})
+            self._states_at = self._config_states
+        # A node's first member is its state configuration at every failed
+        # set that fails no computer.
+        self._states[0] = firsts
 
         def node_order_key(node):
-            first = self._members[node][0]
+            first = firsts[node]
             return quality(first, self.sys).sort_key() + (first.key(),)
 
-        # Every node, best first; a class sorts by its first member.
-        self._nodes = sorted(self._members, key=node_order_key)
+        # Every node, best first; a class sorts by its first member, and
+        # every member of a class has its quality.
+        self._nodes = sorted(firsts, key=node_order_key)
         self._roots = [node for node in self._nodes if node in roots]
         self.generate_seconds = time.perf_counter() - t0
         self._built = True
+
+    @cached_property
+    def all_classes(self) -> dict:
+        """Signature -> the class members, key-sorted, in signature order."""
+        return {cls.sig: list(cls.members()) for cls in self.classes}
+
+    @cached_property
+    def all_cfgs(self) -> list:
+        """Every relevant configuration, key-sorted."""
+        return sorted(itertools.chain.from_iterable(self.all_classes.values()),
+                      key=Config.key)
+
+    @cached_property
+    def init_cfgs(self) -> list:
+        """Every member of an initial class, key-sorted."""
+        return sorted(itertools.chain.from_iterable(
+            self.all_classes[sig] for sig in self.init_sigs), key=Config.key)
 
     # -- state representatives ---------------------------------------------
 
@@ -228,33 +257,32 @@ class Synthesizer:
         """The deterministic concrete configuration explored for ``node``.
 
         With full quotienting a node is a signature and its state
-        configuration is the first class member that carries no dead
-        instances under ``fs``; otherwise the node is the configuration
-        itself, if it carries none.  Whether a member carries dead
-        instances depends only on its ``HostLoss`` key, so the scan visits
-        the first member of each key group instead of every member.
+        configuration is the first class member, in key order, that carries
+        no dead instances under ``fs``; otherwise the node is the
+        configuration itself, if it carries none.  Which instances are dead
+        depends only on the computers ``fs`` fails, so the answers are kept
+        per bitmask of failed computers, for every node at once: the
+        successor scan of each failed set asks for all of them.
         """
-        groups = self._loss_groups.get(node)
-        if groups is None:
-            groups = self._index_node(node)
         dead = self._host_loss.dead(fs)
-        for (hosts, reps), member in groups:
-            if hosts & dead:
-                continue
-            for mask in reps:
-                if not mask & ~dead:
-                    break
-            else:
-                return member
-        return None
+        states = self._states.get(dead)
+        if states is None:
+            states = self._states[dead] = self._states_at(dead)
+        return states[node]
 
-    def _index_node(self, node) -> tuple:
-        """((loss key, first member with that key), ...) in member order."""
-        firsts = {}
-        for member in self._members[node]:
-            firsts.setdefault(self._host_loss.key(member), member)
-        groups = self._loss_groups[node] = tuple(firsts.items())
-        return groups
+    def _class_states(self, dead: int) -> dict:
+        """Each class's first member that keeps all its instances when the
+        computers ``dead`` fail: a search, because relocatable software is
+        startable, never survives host loss and so must sit on live
+        computers."""
+        keeps = self._host_loss.keeps
+        return {cls.sig: cls.first_member(dead) if keeps(cls.fixed, dead)
+                else None for cls in self.classes}
+
+    def _config_states(self, dead: int) -> dict:
+        keeps = self._host_loss.keeps
+        return {cfg: cfg if keeps(cfg, dead) else None
+                for cfg in self.all_cfgs}
 
     def _sig_of_node(self, node) -> CanonicalSignature:
         return node if self.quotient == "full" else signature(node, self.sys)
@@ -416,9 +444,9 @@ class Synthesizer:
         return SolveResult(
             resilient=resilient_list,
             policy=policy,
-            n_all=len(self.all_cfgs),
-            n_init=len(self.init_cfgs),
-            n_all_classes=len(self.all_classes),
+            n_all=sum(cls.size for cls in self.classes),
+            n_init=sum(cls.size for cls in self.classes if cls.initial),
+            n_all_classes=len(self.classes),
             n_init_classes=len(self.init_sigs),
             n_resilient_classes=len({sig for sig, _, _ in resilient_list}),
             quotient=self.quotient,

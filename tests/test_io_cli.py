@@ -360,6 +360,30 @@ def test_load_rejects_booleans_for_integers(where, key):
         modelio.model_from_dict(raw)
 
 
+@pytest.mark.parametrize("where, key, value, expected", [
+    (("system", "software", 0), "cpuArch", ["x86"],
+     "list, expected str or null"),
+    (("failureModel",), "maxSimult", "2", "str, expected int or null"),
+    (("system", "software", 0), "cores", "2", "str, expected int"),
+])
+def test_load_names_the_types_a_field_may_have(where, key, value, expected):
+    raw = _tiny_raw()
+    obj = raw
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
+    with pytest.raises(ModelLoadError) as info:
+        modelio.model_from_dict(raw)
+    assert str(info.value).endswith("field %r has type %s" % (key, expected))
+
+
+def test_a_row_names_the_types_a_position_may_have():
+    with pytest.raises(ModelLoadError) as info:
+        modelio.config_from_obj({"si": [], "rsi": [["P", "pb", ["c0"], 5]]})
+    assert str(info.value) == ("config: entry 0 of 'rsi' holds int where "
+                               "str or null is expected")
+
+
 @pytest.mark.parametrize("raw", [
     7, [], {"system": {"computers": [{"id": "c0", "devices": [{}]}]}},
     {"system": {"sync": True}, "failureModel": {}, "critFns": [["loc"]]},
