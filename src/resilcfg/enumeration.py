@@ -18,9 +18,12 @@ component is relocatable depends only on the set of components that have
 instances, so ``enumerate_classes`` walks those present-software sets.  For
 each one it places the non-relocatable components as before and, for each
 fixed part, counts the budget-feasible assignments of every bag to hosts
-with a count memoized over the hosts' remaining cores and RAM.  It builds
-no configuration for the members it counts.  ``QuotientClass.members``
-lists them on demand, in ``Config.key`` order.
+with a count memoized over the hosts' remaining cores and RAM.  The memo is
+keyed up to symmetry: the (cores, RAM) pairs of interchangeable computers
+(``Computer.equivalent``) are sorted, so budgets that differ only by a
+permutation of such computers are counted once (``symmetric_memo_key``).
+It builds no configuration for the members it counts.
+``QuotientClass.members`` lists them on demand, in ``Config.key`` order.
 """
 
 from __future__ import annotations
@@ -270,8 +273,44 @@ def _walk(slots, i, cores, ram, dead, dead_ends):
         dead_ends.add((i, cores, ram))
 
 
-def enumerate_classes(sys: SystemModel, req: ResilienceRequirement) -> list:
-    """Every class of relevant configurations, sorted by signature."""
+def symmetric_memo_key(sys: SystemModel):
+    """The memo key of the member count (see ``_classes_with``): the slot
+    index and the per-host budgets with the (cores, RAM) pairs of each group
+    of ``Computer.equivalent`` computers sorted, so that budgets that differ
+    by a permutation of interchangeable computers share one entry.  None
+    when no two computers are equivalent: the key is then the plain
+    ``(slot, cores, ram)``.
+
+    The count does not change, because every slot's host combinations and
+    every bag are closed under permutations of equivalent computers, and
+    ``_take`` reads only the budgets and the hosts."""
+    computers = [sys.computer(c) for c in sys.computer_ids]
+    groups = []
+    for h, c in enumerate(computers):
+        for group in groups:
+            if computers[group[0]].equivalent(c):
+                group.append(h)
+                break
+        else:
+            groups.append([h])
+    if len(groups) == len(computers):
+        return None
+
+    def key(j, cores, ram):
+        pairs = list(zip(cores, ram))
+        return (j,) + tuple(tuple(sorted([pairs[h] for h in group]))
+                            for group in groups)
+
+    return key
+
+
+def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
+                      memo_key=None) -> list:
+    """Every class of relevant configurations, sorted by signature.
+    ``memo_key(slot, cores, ram)`` keys the member count's memo; it
+    defaults to ``symmetric_memo_key(sys)``."""
+    if memo_key is None:
+        memo_key = symmetric_memo_key(sys)
     options = _placement_options(sys, req)
     crit_masks = _critical_masks(sys, req)
     may_be_absent = [any(not hosts for _, _, hosts in opts)
@@ -295,7 +334,8 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement) -> list:
 
     classes = []
     for mask in presences(0, 0):
-        classes.extend(_classes_with(mask, options, present_opts, sys))
+        classes.extend(_classes_with(mask, options, present_opts, sys,
+                                     memo_key))
     classes.sort(key=lambda c: c.sig)
     # Whether a class is initial is decided once, on its first member.  The
     # test reads the replicated instances, which are fixed, and the
@@ -308,8 +348,10 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement) -> list:
     return classes
 
 
-def _classes_with(mask: int, options, present_opts, sys: SystemModel):
-    """The classes whose present components are the bits of ``mask``."""
+def _classes_with(mask: int, options, present_opts, sys: SystemModel,
+                  memo_key):
+    """The classes whose present components are the bits of ``mask``.
+    ``memo_key`` keys the count's memo, None on the plain budgets."""
     present_idx = [i for i in range(len(options)) if mask >> i & 1]
     present = {options[i][0].id for i in present_idx}
     reloc, fixed = [], []
@@ -338,7 +380,7 @@ def _classes_with(mask: int, options, present_opts, sys: SystemModel):
         """{bags of components ``reloc[j:]``: budget-feasible assignments}."""
         if j == len(groups):
             return {(): 1}
-        key = (j, cores, ram)
+        key = (j, cores, ram) if memo_key is None else memo_key(j, cores, ram)
         out = memo.get(key)
         if out is None:
             out = memo[key] = {}

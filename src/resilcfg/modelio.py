@@ -509,8 +509,14 @@ def policy_from_dict(raw: dict) -> Policy:
     acts = [action_from_obj(o)
             for o in _objects(raw, "actions", "policy", _REQUIRED)]
     policy = Policy(model=model)
-    for s, c in _rows(raw, "roots", (_INT, _INT), "policy"):
-        policy.add_root(_at(sigs, s, "signatures"), _at(cfgs, c, "configs"))
+    for i, (s, c) in enumerate(_rows(raw, "roots", (_INT, _INT), "policy")):
+        sig = _at(sigs, s, "signatures")
+        # Replay starts from the first root of a signature, so a later one
+        # would never be checked.
+        if policy.root_config(sig) is not None:
+            raise ModelLoadError("policy: root %d repeats the signature of "
+                                 "an earlier root" % i)
+        policy.add_root(sig, _at(cfgs, c, "configs"))
     for state, fs, burst, tsig, tcfg, actions in _rows(
             raw, "entries", _ENTRY_ROW, "policy"):
         key = (_at(cfgs, state, "configs"), _at(fss, fs, "failedSets"),

@@ -3,9 +3,10 @@
 Everything here trades performance for obviousness: resilience by literal
 recursion over all bursts with successors drawn from every valid
 configuration, reachability by breadth-first search over action sequences,
-exhaustive enumeration of valid configurations, and the relevant
-configurations listed one by one.  A size guard refuses models where the
-exponential blowup would bite.
+exhaustive enumeration of valid configurations, the relevant
+configurations listed one by one, and class sizes counted on the raw
+per-host budgets.  A size guard refuses models where the exponential
+blowup would bite.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .enumeration import (
     _critical_masks,
     _placement_options,
     _take,
+    enumerate_classes,
 )
 
 
@@ -133,6 +135,20 @@ def relevant_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
         tuple(c.ram for c in sys.computers.values()), (), (), 0)
     out.sort(key=Config.key)
     return out
+
+
+def plain_memo_key(j: int, cores: tuple, ram: tuple) -> tuple:
+    """The member count's memo key on the raw per-host budgets, with no
+    computer interchangeable with another."""
+    return (j, cores, ram)
+
+
+def plain_class_sizes(sys: SystemModel, req: ResilienceRequirement) -> dict:
+    """Signature -> member count of every class, in signature order, with
+    the count memoized on the raw budgets: the reference for the symmetric
+    memo of ``enumeration.enumerate_classes``."""
+    return {cls.sig: cls.size
+            for cls in enumerate_classes(sys, req, plain_memo_key)}
 
 
 def naive_resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,

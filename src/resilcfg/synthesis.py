@@ -8,13 +8,17 @@ also survives when they arrive in installments.
 
 The search keeps one context per failed set: its bursts, its successor
 candidates, its caches and the memo of the verdicts of the nodes explored
-under it.  A resilient node's memo entry keeps, per burst, the successor and
-the witness action sequence that reaches it, so policy extraction reads
-policies from the memo.  Recursion always grows the failed set, so the memo
-is purely a cache and no cycle detection is needed.  With full quotient
-reduction the successor scan visits one deterministic state representative
-per equivalence class; verdicts carry over to every class member because
-relocatable instances can be re-hosted freely during reconfiguration.
+under it.  A node's state representative under a failed set is computed
+when first asked for and shared by every failed set that fails the same
+computers, and the candidate list is built, in batches, only as far as the
+successor scans reach.  A resilient node's memo entry keeps, per burst,
+the successor and the witness action sequence that reaches it, so policy
+extraction reads policies from the memo.  Recursion always grows the failed
+set, so the memo is purely a cache and no cycle detection is needed.  With
+full quotient reduction the successor scan visits one deterministic state
+representative per equivalence class; verdicts carry over to every class
+member because relocatable instances can be re-hosted freely during
+reconfiguration.
 """
 
 from __future__ import annotations
@@ -119,13 +123,16 @@ class _MemoEntry(NamedTuple):
 class _FailedSetContext:
     """What the search keeps for one failed set."""
 
-    __slots__ = ("fs", "bursts", "candidates", "canrun", "live", "memo",
-                 "avail", "succ")
+    __slots__ = ("fs", "dead", "states", "bursts", "candidates", "reached",
+                 "canrun", "live", "memo", "avail", "succ")
 
-    def __init__(self, fs: FailedSet):
+    def __init__(self, fs: FailedSet, dead: int, states: dict):
         self.fs = fs
+        self.dead = dead        # bits of the computers ``fs`` fails
+        self.states = states    # node -> state config, shared per ``dead``
         self.bursts = None      # computed by ``_next_bursts``
-        self.candidates = None  # computed by ``_candidates``
+        self.candidates = []    # grown by ``_grow_candidates``
+        self.reached = 0        # nodes the candidates cover, in node order
         self.canrun = {}        # ``can_run`` static cache
         self.live = {}          # hardware id -> live under ``fs``
         self.memo = {}          # node -> _MemoEntry
@@ -150,6 +157,7 @@ def _pinned_si(cfg: Config, sys: SystemModel) -> frozenset:
 
 
 _MISSING = object()
+_FIRST_BATCH = 16  # nodes covered by a failed set's first candidates
 
 
 @dataclass
@@ -199,6 +207,7 @@ class Synthesizer:
         self._built = False
         self._host_loss = HostLoss(sys)
         self._states = {}    # failed-computer bits -> {node: state config}
+        self._class_of = {}  # signature -> class, in "full"
         self._contexts = {}  # failed set -> _FailedSetContext
         self.generate_seconds = 0.0
 
@@ -211,14 +220,13 @@ class Synthesizer:
         self.classes = enumerate_classes(self.sys, self.req)
         self.init_sigs = {cls.sig for cls in self.classes if cls.initial}
         if self.quotient == "full":
+            self._class_of = {cls.sig: cls for cls in self.classes}
             firsts = {cls.sig: cls.first for cls in self.classes}
             roots = self.init_sigs
-            self._states_at = self._class_states
         else:
             firsts = {cfg: cfg for cfg in self.all_cfgs}
             roots = (set(self.init_cfgs) if self.quotient == "off" else
                      {self.all_classes[sig][0] for sig in self.init_sigs})
-            self._states_at = self._config_states
         # A node's first member is its state configuration at every failed
         # set that fails no computer.
         self._states[0] = firsts
@@ -261,28 +269,27 @@ class Synthesizer:
         no dead instances under ``fs``; otherwise the node is the
         configuration itself, if it carries none.  Which instances are dead
         depends only on the computers ``fs`` fails, so the answers are kept
-        per bitmask of failed computers, for every node at once: the
-        successor scan of each failed set asks for all of them.
+        in one dict per bitmask of failed computers, each computed when
+        first asked for.
         """
-        dead = self._host_loss.dead(fs)
-        states = self._states.get(dead)
-        if states is None:
-            states = self._states[dead] = self._states_at(dead)
-        return states[node]
+        return self._state(self._context(fs), node)
 
-    def _class_states(self, dead: int) -> dict:
-        """Each class's first member that keeps all its instances when the
-        computers ``dead`` fail: a search, because relocatable software is
-        startable, never survives host loss and so must sit on live
-        computers."""
-        keeps = self._host_loss.keeps
-        return {cls.sig: cls.first_member(dead) if keeps(cls.fixed, dead)
-                else None for cls in self.classes}
-
-    def _config_states(self, dead: int) -> dict:
-        keeps = self._host_loss.keeps
-        return {cfg: cfg if keeps(cfg, dead) else None
-                for cfg in self.all_cfgs}
+    def _state(self, ctx: _FailedSetContext, node) -> Optional[Config]:
+        states = ctx.states
+        cfg = states.get(node, _MISSING)
+        if cfg is _MISSING:
+            dead, keeps = ctx.dead, self._host_loss.keeps
+            if self.quotient != "full":
+                cfg = node if keeps(node, dead) else None
+            else:
+                # A search, because relocatable software is startable,
+                # never survives host loss and so must sit on live
+                # computers.
+                cls = self._class_of[node]
+                cfg = cls.first_member(dead) if keeps(cls.fixed, dead) \
+                    else None
+            states[node] = cfg
+        return cfg
 
     def _sig_of_node(self, node) -> CanonicalSignature:
         return node if self.quotient == "full" else signature(node, self.sys)
@@ -290,25 +297,37 @@ class Synthesizer:
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)
         if ctx is None:
-            ctx = self._contexts[fs] = _FailedSetContext(fs)
+            dead = self._host_loss.dead(fs)
+            states = self._states.get(dead)
+            if states is None:
+                states = self._states[dead] = {}
+            ctx = self._contexts[fs] = _FailedSetContext(fs, dead, states)
         return ctx
 
-    def _candidates(self, ctx: _FailedSetContext) -> list:
-        """Successor candidates for ``ctx.fs`` in descending quality order.
+    def _grow_candidates(self, ctx: _FailedSetContext) -> bool:
+        """Extend ``ctx.candidates``, the successor candidates for
+        ``ctx.fs`` in descending quality order, over the next batch of
+        nodes; False when every node is covered.
 
-        Entries carry the candidate's (software, protocol) replica pairs so
-        the scan can skip, without evaluating the relation, every candidate
-        that would need a replicated instance the source does not have.
-        The filtered list depends only on the failed set, so it is computed
-        once per failed set and shared by every state exploring it.
+        The candidates are the nodes with a state configuration under
+        ``ctx.fs``.  Entries carry the candidate's (software, protocol)
+        replica pairs so the scan can skip, without evaluating the
+        relation, every candidate that would need a replicated instance the
+        source does not have.  The list depends only on the failed set, so
+        it is shared by every state exploring it, and built only as far as
+        its scans reach: each batch covers as many nodes as all earlier
+        ones together.
         """
-        if ctx.candidates is None:
-            nodes = ((node, self.state_config(node, ctx.fs))
-                     for node in self._nodes)
-            ctx.candidates = [(node, cfg, _rsi_pairs(cfg),
-                               _pinned_si(cfg, self.sys))
-                              for node, cfg in nodes if cfg is not None]
-        return ctx.candidates
+        start = ctx.reached
+        if start == len(self._nodes):
+            return False
+        ctx.reached = min(len(self._nodes), max(2 * start, _FIRST_BATCH))
+        for node in self._nodes[start:ctx.reached]:
+            cfg = self._state(ctx, node)
+            if cfg is not None:
+                ctx.candidates.append((node, cfg, _rsi_pairs(cfg),
+                                       _pinned_si(cfg, self.sys)))
+        return True
 
     def _next_bursts(self, ctx: _FailedSetContext) -> list:
         if ctx.bursts is None:
@@ -324,7 +343,7 @@ class Synthesizer:
         entry = ctx.memo.get(node)
         if entry is None:
             entry = _MemoEntry(False, ())
-            cfg = self.state_config(node, fs)
+            cfg = self._state(ctx, node)
             if cfg is not None and avail(self.req.crit_fns, cfg, fs, self.sys):
                 successors = self._successors(cfg, ctx, recursive=True)
                 if successors is not None:
@@ -368,26 +387,35 @@ class Synthesizer:
         src_pairs = _rsi_pairs(src)
         src_si = frozenset(src.si)
         found = None
-        for node2, cfg2, pairs, pinned in self._candidates(ctx):
-            if not (pairs <= src_pairs and pinned <= src_si):
-                continue
-            if recursive:
-                if not self.resilient_node(node2, fs2):
+        cands = ctx.candidates
+        segment = cands
+        while found is None:
+            for node2, cfg2, pairs, pinned in segment:
+                if not (pairs <= src_pairs and pinned <= src_si):
                     continue
-            elif not self._avail_node(node2, cfg2, ctx):
-                continue
-            if not can_reconfigure(src, cfg2, fs2, self.sys,
-                                   assume_target_valid=True,
-                                   static_canrun=ctx.canrun,
-                                   live_cache=ctx.live):
-                continue
-            try:
-                actions = derive_actions(src, cfg2, fs2, self.sys,
-                                         relation_checked=True)
-            except NoWitnessError:
-                continue
-            found = (node2, actions)
-            break
+                if recursive:
+                    if not self.resilient_node(node2, fs2):
+                        continue
+                elif not self._avail_node(node2, cfg2, ctx):
+                    continue
+                if not can_reconfigure(src, cfg2, fs2, self.sys,
+                                       assume_target_valid=True,
+                                       static_canrun=ctx.canrun,
+                                       live_cache=ctx.live):
+                    continue
+                try:
+                    actions = derive_actions(src, cfg2, fs2, self.sys,
+                                             relation_checked=True)
+                except NoWitnessError:
+                    continue
+                found = (node2, actions)
+                break
+            else:
+                # The scan ran past the candidates built so far.
+                scanned = len(cands)
+                if not self._grow_candidates(ctx):
+                    break
+                segment = cands[scanned:]
         ctx.succ[key] = found
         return found
 
@@ -545,6 +573,8 @@ def _replay_root(policy: Policy, root_sig, sys: SystemModel,
     cfg = policy.root_config(root_sig)
     if cfg is None:
         raise ReplayError("unknown policy root")
+    if not valid_config(cfg, sys):
+        raise ReplayError("the root configuration is not valid")
     if not avail(req.crit_fns, cfg, EMPTY_FS, sys):
         raise ReplayError("critical functionality unavailable at the root")
     return State(cfg, EMPTY_FS)
@@ -606,26 +636,32 @@ def verify_policy(policy: Policy, sys: SystemModel,
     the order ``worst_burst_schedules`` lists the schedules, so the first
     gap raised is the one a per-schedule ``replay_schedule`` loop raises
     first.  A state reached again, from this root or an earlier one, is
-    not walked again.
+    not walked again, and the bursts of each failed set are computed once.
     """
-    if not worst_next_failed_sets(req.fm, EMPTY_FS, sys):
+    bursts = {EMPTY_FS: worst_next_failed_sets(req.fm, EMPTY_FS, sys)}
+    if not bursts[EMPTY_FS]:
         return 0  # no schedule, so not even a root is replayed
     memo = {}  # state -> schedules below it
     n = 0
     for sig, _ in policy.roots:
         n += _verify_below(policy, _replay_root(policy, sig, sys, req), sys,
-                           req, memo)
+                           req, memo, bursts)
     return n
 
 
 def _verify_below(policy: Policy, state: State, sys: SystemModel,
-                  req: ResilienceRequirement, memo: dict) -> int:
+                  req: ResilienceRequirement, memo: dict,
+                  bursts: dict) -> int:
     n = memo.get(state)
     if n is not None:
         return n
+    nxt = bursts.get(state.fs)
+    if nxt is None:
+        nxt = bursts[state.fs] = worst_next_failed_sets(req.fm, state.fs,
+                                                        sys)
     n = 0
-    for fs2 in worst_next_failed_sets(req.fm, state.fs, sys):
+    for fs2 in nxt:
         state2 = _replay_step(policy, state, fs2 - state.fs, sys, req)
-        n += 1 + _verify_below(policy, state2, sys, req, memo)
+        n += 1 + _verify_below(policy, state2, sys, req, memo, bursts)
     memo[state] = n
     return n

@@ -12,12 +12,16 @@ from resilcfg import (
     Device,
     FailBound,
     FailureModel,
+    Policy,
     RepProtocol,
     ResilienceRequirement,
     Software,
+    Stop,
     SwInst,
+    Synthesizer,
     SystemModel,
     crash,
+    remove_dead,
     rep_inst,
 )
 from resilcfg import fixtures
@@ -56,6 +60,27 @@ def tiny_config(loc_host="c0", plan_members=("c0", "c1"), plan_primary="c0",
 FS0 = frozenset()
 FS_C0 = frozenset({crash("c0")})
 FS_C1 = frozenset({crash("c1")})
+
+
+def over_budget_root(sys, req):
+    """Example1's policy with one root: its first, plus an instance that
+    puts ``c1`` over its core budget, and the first root's entries under the
+    new configuration, each prefixed with stopping that instance where the
+    burst leaves it running."""
+    policy = Synthesizer(sys, req).solve().policy
+    sig, cfg = policy.roots[0]
+    extra = SwInst("chassis-interface", "c1")
+    bad = Config.make(cfg.si + (extra,), cfg.rsi)
+    out = Policy(model=policy.model)
+    out.add_root(sig, bad)
+    for (state, fs, burst), entry in policy.entries.items():
+        out.entries[(state, fs, burst)] = entry
+        if state == cfg and not fs:
+            stop = (Stop(extra),) if extra in remove_dead(
+                bad, frozenset(burst), sys).si else ()
+            out.entries[(bad, fs, burst)] = entry._replace(
+                actions=stop + entry.actions)
+    return out, bad
 
 
 # -- random models ------------------------------------------------------------

@@ -2,11 +2,14 @@
 per-configuration references they replace.
 
 ``enumeration.enumerate_classes`` counts each class's members instead of
-listing them, and ``Synthesizer.state_config`` searches a class for its
-first member without dead instances.  The references list every relevant
-configuration one by one (``oracle.relevant_configs``), filter the initial
-ones per configuration (``generate_init_configs``), group them by
-signature (``partition_members``) and scan the key-sorted members.
+listing them, with the count memoized up to permutations of equivalent
+computers, and ``Synthesizer.state_config`` searches a class for its first
+member without dead instances, when a successor scan first reaches it.  The
+references list every relevant configuration one by one
+(``oracle.relevant_configs``), filter the initial ones per configuration
+(``generate_init_configs``), group them by signature
+(``partition_members``), scan the key-sorted members, and count the
+members on the raw budgets (``oracle.plain_class_sizes``).
 """
 
 import json
@@ -28,8 +31,8 @@ from resilcfg import (
     remove_dead,
     signature,
 )
-from resilcfg.enumeration import enumerate_classes
-from resilcfg.oracle import relevant_configs
+from resilcfg.enumeration import enumerate_classes, symmetric_memo_key
+from resilcfg.oracle import plain_class_sizes, relevant_configs
 from conftest import FS0, random_model
 
 DRIVING = (fixtures.autonomous_driving_laptop,
@@ -119,6 +122,73 @@ def test_state_config_is_the_first_member_a_scan_finds(group):
                       "first member" if expected is group_members[0] else
                       "later member"] += 1
     assert all(found.values()), found
+
+
+@pytest.mark.parametrize("group", ["fixtures", "driving", "random"])
+def test_symmetric_count_equals_the_plain_count(group):
+    """Class by class, the count memoized up to computer symmetry equals
+    the count memoized on the raw budgets, on models with and without
+    interchangeable computers."""
+    if group == "driving":
+        models = [builder(scale) for builder in DRIVING
+                  for scale in range(2, 8)]
+    else:
+        models = _models(group)
+    symmetric = []
+    for sys, req in models:
+        classes = enumerate_classes(sys, req)
+        assert ([(cls.sig, cls.size) for cls in classes]
+                == list(plain_class_sizes(sys, req).items()))
+        symmetric.append(symmetric_memo_key(sys) is not None)
+    assert all(symmetric) if group == "driving" else any(symmetric)
+
+
+def test_the_symmetric_key_sorts_each_computers_budgets_jointly():
+    """c0, c1 and c2 are interchangeable, the laptop is not."""
+    sys, _ = fixtures.autonomous_driving_laptop(3)
+    assert sys.computer_ids == ("c0", "c1", "c2", "laptop")
+    key = symmetric_memo_key(sys)
+    base = key(1, (4, 2, 3, 8), (10, 20, 30, 40))
+    assert key(1, (2, 3, 4, 8), (20, 30, 10, 40)) == base
+    assert key(1, (2, 4, 3, 8), (10, 20, 30, 40)) != base
+    assert key(1, (4, 2, 8, 3), (10, 20, 40, 30)) != base
+    assert key(2, (4, 2, 3, 8), (10, 20, 30, 40)) != base
+    assert symmetric_memo_key(fixtures.unsat()[0]) is None
+
+
+@pytest.mark.parametrize("models", [
+    lambda: [builder(3) for builder in DRIVING],
+    lambda: [random_model(random.Random(40 + i)) for i in range(20)],
+], ids=["driving", "random"])
+def test_candidates_are_built_as_far_as_the_scans_reach(models):
+    """After a solve, every failed set's candidates are a prefix of the
+    eager list of (node, state configuration) over every node that has
+    one, and cover exactly the nodes reached so far; every state
+    configuration answered equals the reference scan's."""
+    lazy = 0
+    for sys, req in models():
+        members, _ = _reference(sys, req)
+        syn = Synthesizer(sys, req)
+        syn.solve()
+
+        def first_live(node, fs):
+            return next((m for m in members[node]
+                         if remove_dead(m, fs, sys) == m), None)
+
+        for fs, ctx in syn._contexts.items():
+            states = {node: first_live(node, fs) for node in syn._nodes}
+            eager = [(node, states[node]) for node in syn._nodes
+                     if states[node] is not None]
+            built = [(node, cfg) for node, cfg, _, _ in ctx.candidates]
+            assert built == eager[:len(built)], fs
+            assert len(built) == sum(
+                states[node] is not None
+                for node in syn._nodes[:ctx.reached]), fs
+            for node, cfg in ctx.states.items():
+                assert cfg == states[node], (node, fs)
+                assert syn.state_config(node, fs) == cfg
+            lazy += len(built) < len(eager)
+    assert lazy > 0
 
 
 def test_a_full_solve_lists_no_member(monkeypatch):

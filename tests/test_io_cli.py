@@ -18,10 +18,12 @@ from resilcfg import (
     save_policy,
     save_report,
     solve_best_resilient,
+    valid_config,
 )
+from resilcfg.availability import avail
 from resilcfg import fixtures, modelio
 from resilcfg.cli import main
-from conftest import random_model
+from conftest import over_budget_root, random_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -476,3 +478,46 @@ def test_load_policy_rejects_unreadable_json(tmp_path, content):
     with pytest.raises(ModelLoadError) as exc:
         load_policy(path)
     assert "\n" not in str(exc.value)
+
+
+def test_load_policy_rejects_a_repeated_root_signature(tmp_path, capsys):
+    """Replay starts from the first root of a signature, so a later root
+    with the same signature would never be replayed: here a tenth root
+    whose configuration is neither valid nor available."""
+    sys, req = load_model(FIXTURES / "example1.json")
+    pol = tmp_path / "policy.json"
+    assert main(["solve", "--model", str(FIXTURES / "example1.json"),
+                 "--policy-out", str(pol)]) == 0
+    raw = json.loads(pol.read_text())
+    assert len(raw["roots"]) == 9
+    bad = modelio.config_from_obj({"si": [["planning", "laptop"]], "rsi": []})
+    assert not valid_config(bad, sys)
+    assert not avail(req.crit_fns, bad, frozenset(), sys)
+    raw["configs"].append(modelio.config_to_obj(bad))
+    raw["roots"].append([raw["roots"][0][0], len(raw["configs"]) - 1])
+    pol.write_text(json.dumps(raw))
+    with pytest.raises(ModelLoadError, match="root 9 repeats the signature"):
+        load_policy(pol)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps([["c0"]]))
+    capsys.readouterr()
+    for extra in (["--exhaustive"], ["--schedule", str(sched), "--root", "9"]):
+        assert main(["replay", "--model", str(FIXTURES / "example1.json"),
+                     "--policy", str(pol)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "root 9 repeats the signature" in err
+        assert err.count("\n") == 1
+
+
+def test_cli_replay_of_an_invalid_root_fails(tmp_path, capsys):
+    """A root over its core budget is a policy gap (exit 1), although every
+    action of its entries applies."""
+    sys, req = load_model(FIXTURES / "example1.json")
+    policy, _ = over_budget_root(sys, req)
+    pol = tmp_path / "policy.json"
+    save_policy(policy, pol)
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "example1.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 1
+    err = capsys.readouterr().err
+    assert err == "replay failed: the root configuration is not valid\n"

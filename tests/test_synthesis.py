@@ -29,13 +29,14 @@ from resilcfg import (
     resilient,
     solve_best_resilient,
     solve_resilient,
+    valid_config,
     verify_policy,
     worst_burst_schedules,
 )
 from resilcfg import fixtures
 from resilcfg.failures import failed_hw
 from resilcfg.synthesis import PolicyEntry, ReplayError
-from conftest import FS0, random_model, tiny_config
+from conftest import FS0, over_budget_root, random_model, tiny_config
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -360,3 +361,16 @@ def test_verify_policy_tells_apart_states_of_one_class():
     with pytest.raises(ReplayError) as info:
         verify_policy(policy, sys, req)
     assert str(info.value) == first
+
+
+def test_replay_rejects_a_root_whose_configuration_is_invalid():
+    """Replay validates the configurations actions produce, and the root's
+    own: without that check, this policy verifies all three schedules of
+    its over-budget root."""
+    sys, req = fixtures.autonomous_driving_laptop()
+    policy, bad = over_budget_root(sys, req)
+    assert not valid_config(bad, sys)
+    with pytest.raises(ReplayError, match="root configuration is not valid"):
+        verify_policy(policy, sys, req)
+    with pytest.raises(ReplayError, match="root configuration is not valid"):
+        replay_schedule(policy, policy.roots[0][0], [{crash("c0")}], sys, req)
