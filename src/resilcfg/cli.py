@@ -7,9 +7,9 @@ a burst schedule and checks that critical functionality never lapses.
 Exit codes: 0 on success (solve found at least one resilient configuration,
 validation clean, replay clean); 1 when no resilient configuration exists
 or a replay fails; 2 on input errors, including a policy file of another
-format version or solved for another model, and a replay schedule that
-names unknown hardware, fails hardware twice, or fails more than the
-failure model allows.
+format version or solved for another model, a replay schedule that names
+unknown hardware, fails hardware twice, or fails more than the failure
+model allows, and ``replay --exhaustive`` given a schedule or a root.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if args.exhaustive and (args.schedule, args.root) != (None, None):
+        raise modelio.ModelLoadError("replay --exhaustive takes neither "
+                                     "--schedule nor --root")
     sys_model, req = modelio.load_model(args.model)
     policy = modelio.load_policy(args.policy)
     if policy.model != modelio.model_fingerprint(sys_model, req):

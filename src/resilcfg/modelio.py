@@ -86,7 +86,8 @@ def _read_json(path):
     except json.JSONDecodeError as exc:
         raise ModelLoadError("%s: line %d column %d: %s"
                              % (path, exc.lineno, exc.colno, exc.msg)) from None
-    except ValueError as exc:  # not UTF-8, or an integer too long to read
+    # Not UTF-8, an integer too long to read, or arrays nested too deeply.
+    except (ValueError, RecursionError) as exc:
         raise ModelLoadError("%s: %s" % (path, exc)) from None
 
 
@@ -517,10 +518,13 @@ def policy_from_dict(raw: dict) -> Policy:
             raise ModelLoadError("policy: root %d repeats the signature of "
                                  "an earlier root" % i)
         policy.add_root(sig, _at(cfgs, c, "configs"))
-    for state, fs, burst, tsig, tcfg, actions in _rows(
-            raw, "entries", _ENTRY_ROW, "policy"):
+    for i, (state, fs, burst, tsig, tcfg, actions) in enumerate(_rows(
+            raw, "entries", _ENTRY_ROW, "policy")):
         key = (_at(cfgs, state, "configs"), _at(fss, fs, "failedSets"),
                _at(fss, burst, "failedSets"))
+        if key in policy.entries:
+            raise ModelLoadError("policy: entry %d repeats the state, failed "
+                                 "set and burst of an earlier entry" % i)
         policy.entries[key] = PolicyEntry(
             _at(sigs, tsig, "signatures"), _at(cfgs, tcfg, "configs"),
             tuple(_at(acts, a, "actions") for a in actions))

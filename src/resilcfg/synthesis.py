@@ -49,9 +49,9 @@ from .reconfig import (
     can_reconfigure,
     derive_actions,
 )
-# ``generate_all_configs``, ``generate_init_configs`` and
-# ``partition_members`` are not called here, but the benchmark's layer
-# tracer (``perfbench/tracer.py``) patches these names in this module.
+# ``generate_all_configs``, ``generate_init_configs``, ``partition_members``
+# and ``signature`` are not called here, but the benchmark's layer tracer
+# (``perfbench/tracer.py``) patches these names in this module.
 from .enumeration import (  # noqa: F401
     ResilienceRequirement,
     enumerate_classes,
@@ -224,6 +224,8 @@ class Synthesizer:
             firsts = {cls.sig: cls.first for cls in self.classes}
             roots = self.init_sigs
         else:
+            self._sig_of = {cfg: sig for sig, members
+                            in self.all_classes.items() for cfg in members}
             firsts = {cfg: cfg for cfg in self.all_cfgs}
             roots = (set(self.init_cfgs) if self.quotient == "off" else
                      {self.all_classes[sig][0] for sig in self.init_sigs})
@@ -292,7 +294,7 @@ class Synthesizer:
         return cfg
 
     def _sig_of_node(self, node) -> CanonicalSignature:
-        return node if self.quotient == "full" else signature(node, self.sys)
+        return node if self.quotient == "full" else self._sig_of[node]
 
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)

@@ -1,18 +1,35 @@
-"""The universe build against per-configuration references.
+"""The listed classes of a build against per-configuration references.
 
-``Synthesizer.build`` builds each configuration from canonical option
-tuples, signs it once through the shared signer and derives the initial
-classes from the class members.  Each of those shortcuts is checked here
-against the slow per-configuration form it replaces.
+``Synthesizer.build`` enumerates the classes together with their
+signatures and lists no member.  ``all_classes`` and ``all_cfgs`` expand
+the members when first read, as the "off" and "partial" solves do, and
+those solves take each node's signature from the class it was listed
+under.  Each listed member is checked here against the slow forms: a
+``Config.make`` of its tuples, ``signature`` and a signature written out
+from the raw attributes, and a written-out ``relocatable``.  The last test
+checks that no solve, in any mode, signs a configuration.
 """
 
+import hashlib
 import random
 
 import pytest
 
-from resilcfg import Config, Synthesizer, fixtures, relocatable, signature
+from resilcfg import (
+    Config,
+    Synthesizer,
+    fixtures,
+    load_model,
+    quotient,
+    relocatable,
+    signature,
+    synthesis,
+    verify_policy,
+)
+from resilcfg.modelio import save_policy, save_report
 from resilcfg.synthesis import QUOTIENT_MODES
 from conftest import random_model
+from test_golden_outputs import FIXTURES, GOLDEN
 
 
 def _models(group):
@@ -90,3 +107,34 @@ def test_build_matches_per_configuration_references(group, mode):
             for sw in sys.software.values():
                 assert (relocatable(sw, cfg, sys)
                         == _relocatable_reference(sw, cfg, sys)), (sw.id, cfg)
+
+
+def _solve_outputs(name, mode, tmp_path):
+    """Counts, verify count and the SHA-256 of the policy and report files
+    of solving the shipped fixture ``name``."""
+    sys, req = load_model(FIXTURES / (name + ".json"))
+    result = Synthesizer(sys, req, quotient=mode).solve("best")
+    policy_path = tmp_path / "policy.json"
+    report_path = tmp_path / "report.json"
+    save_policy(result.policy, policy_path)
+    save_report(result, report_path, "fixtures/%s.json" % name)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (policy_path, report_path))
+    return result.counts(), digests, verify_policy(result.policy, sys, req)
+
+
+def test_no_solve_signs_a_configuration(tmp_path, monkeypatch):
+    names = sorted({name for name, _ in GOLDEN})
+    cases = [(name, mode) for name in names for mode in QUOTIENT_MODES]
+    expected = {case: _solve_outputs(*case, tmp_path) for case in cases}
+
+    def refuse(cfg, sys):
+        raise AssertionError("a solve signed %r" % (cfg,))
+
+    monkeypatch.setattr(quotient, "signature", refuse)
+    monkeypatch.setattr(synthesis, "signature", refuse)
+    for case in cases:
+        counts, digests, n = _solve_outputs(*case, tmp_path)
+        assert (counts, digests, n) == expected[case], case
+        if case in GOLDEN:
+            assert digests + (n,) == GOLDEN[case], case

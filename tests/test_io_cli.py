@@ -192,6 +192,14 @@ def test_cli_validate_broken(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+def test_cli_validate_of_deeply_nested_json_is_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "maximum recursion depth exceeded" in err and err.count("\n") == 1
+
+
 def test_cli_solve_exit_codes(tmp_path):
     assert main(["solve", "--model", str(FIXTURES / "tiny.json")]) == 0
     assert main(["solve", "--model", str(FIXTURES / "unsat.json")]) == 1
@@ -283,7 +291,8 @@ def test_cli_replay_schedule_outside_the_model_is_an_input_error(
 @pytest.mark.parametrize("content, message", [
     (b"[[\"c0\"]]\xff", "can't decode byte 0xff"),
     (b"[[" + b"9" * 5000 + b"]]", "integer string conversion"),
-], ids=["not-utf8", "5000-digit-integer"])
+    (b"[" * 100000, "maximum recursion depth exceeded"),
+], ids=["not-utf8", "5000-digit-integer", "100000-deep"])
 def test_cli_replay_unreadable_schedule_is_an_input_error(
         tmp_path, capsys, content, message):
     pol = _tiny_policy(tmp_path)
@@ -294,6 +303,22 @@ def test_cli_replay_unreadable_schedule_is_an_input_error(
                  "--policy", str(pol), "--schedule", str(sched)]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--root", "99"], ["--root", "0"],
+                                   ["--schedule", "sched.json"]],
+                         ids=["root-out-of-range", "root", "schedule"])
+def test_cli_replay_exhaustive_takes_no_root_or_schedule(
+        tmp_path, monkeypatch, capsys, extra):
+    pol = _tiny_policy(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("sched.json").write_text(json.dumps([["c0"]]))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"] + extra) == 2
+    err = capsys.readouterr().err
+    assert "takes neither --schedule nor --root" in err
+    assert err.count("\n") == 1
 
 
 def _reject_first_action(pol):
@@ -470,8 +495,8 @@ def test_cli_replay_root_index_is_checked(tmp_path, capsys, root, code,
         assert out.err == "" and out.out.startswith("root ")
 
 
-@pytest.mark.parametrize("content", [b"\xff{}", b"1" * 5000],
-                         ids=["not-utf8", "integer-too-long"])
+@pytest.mark.parametrize("content", [b"\xff{}", b"1" * 5000, b"[" * 100000],
+                         ids=["not-utf8", "integer-too-long", "100000-deep"])
 def test_load_policy_rejects_unreadable_json(tmp_path, content):
     path = tmp_path / "policy.json"
     path.write_bytes(content)
@@ -507,6 +532,23 @@ def test_load_policy_rejects_a_repeated_root_signature(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "root 9 repeats the signature" in err
         assert err.count("\n") == 1
+
+
+def test_load_policy_rejects_a_repeated_entry(tmp_path, capsys):
+    """A later entry row with the key of an earlier one would replace it."""
+    pol = _tiny_policy(tmp_path)
+    raw = json.loads(pol.read_text())
+    raw["entries"].append(raw["entries"][0])
+    pol.write_text(json.dumps(raw))
+    message = "entry %d repeats the state, failed set and burst" % (
+        len(raw["entries"]) - 1)
+    with pytest.raises(ModelLoadError, match=message):
+        load_policy(pol)
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 def test_cli_replay_of_an_invalid_root_fails(tmp_path, capsys):
