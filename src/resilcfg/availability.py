@@ -10,8 +10,8 @@ functionality dependency graph is validated acyclic at model construction.
 
 from __future__ import annotations
 
-from .model import Config, Software, SystemModel, quorum_size
-from .failures import FailedSet, Failure
+from .model import CRASH, Config, Software, SystemModel, quorum_size
+from .failures import FailedSet
 
 
 def live(h: str, fs: FailedSet, sys: SystemModel) -> bool:
@@ -19,14 +19,28 @@ def live(h: str, fs: FailedSet, sys: SystemModel) -> bool:
 
     An empty power set means internal power.  A component with external
     power sources needs at least one of them live, so a shared power source
-    can be a single point of failure.
+    can be a single point of failure.  So a component is live when a path
+    of unfailed hardware leads along power references to internally powered
+    hardware, searched with a stack: chains may outgrow the recursion limit.
     """
-    if Failure(h, "crash") in fs:
+    # A plain tuple equals and hashes as the ``Failure`` it spells, and
+    # skips the named tuple's constructor in one of the hottest calls.
+    if (h, CRASH) in fs:
         return False
     power = sys.power_of(h)
     if not power:
         return True
-    return any(live(p, fs, sys) for p in power)
+    seen, stack = {h}, list(power)
+    while stack:
+        p = stack.pop()
+        if p in seen or (p, CRASH) in fs:
+            continue
+        seen.add(p)
+        power = sys.power_of(p)
+        if not power:
+            return True
+        stack.extend(power)
+    return False
 
 
 def avail_dev(device_type: str, c, fs: FailedSet, sys: SystemModel) -> bool:

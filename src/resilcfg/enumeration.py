@@ -342,9 +342,8 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
     # runnability of their members, which depends on the hosts of
     # relocatable providers only through their devices, which the bag
     # fixes.
-    static = {}
     for cls in classes:
-        cls.initial = _init_relevant(cls.first, sys, static)
+        cls.initial = _init_relevant(cls.first, sys)
     return classes
 
 
@@ -438,22 +437,16 @@ def generate_init_configs(sys: SystemModel, req: ResilienceRequirement,
     """The initial-search universe: ``generate_all_configs`` narrowed further."""
     if all_cfgs is None:
         all_cfgs = generate_all_configs(sys, req)
-    static = {}
-    out = []
-    for cfg in all_cfgs:
-        if _init_relevant(cfg, sys, static):
-            out.append(cfg)
-    return out
+    return [cfg for cfg in all_cfgs if _init_relevant(cfg, sys)]
 
 
-def _init_relevant(cfg: Config, sys: SystemModel, static_cache: dict) -> bool:
+def _init_relevant(cfg: Config, sys: SystemModel) -> bool:
     for r in cfg.rsi:
         if r.primary is not None and _all_equivalent(r.computers, sys):
             if r.primary != r.computers[0]:
                 return False
         sw = sys.sw(r.sw)
         for m in r.computers:
-            if not can_run(m, sw, cfg, EMPTY_FS, sys,
-                           static_cache=static_cache):
+            if not can_run(m, sw, cfg, EMPTY_FS, sys):
                 return False
     return True

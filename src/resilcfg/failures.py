@@ -60,6 +60,11 @@ class FailBound:
     def __post_init__(self):
         if self.hw_type not in (HW_COMPUTER, HW_DEVICE):
             raise ModelError("bad hardware type %r" % self.hw_type)
+        # Only crashes are modelled: liveness, ``remove_dead`` and
+        # ``HostLoss`` treat every failure as one.
+        if self.f_type != CRASH:
+            raise ModelError("bad failure type %r (only %r is modelled)"
+                             % (self.f_type, CRASH))
         if self.n < 0:
             raise ModelError("failure bound n must be >= 0")
         if self.max_simult is not None and not 0 <= self.max_simult <= self.n:

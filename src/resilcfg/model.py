@@ -300,22 +300,26 @@ class SystemModel:
 
 
 def _check_acyclic(edges: dict, what: str):
-    state = {}  # 0 = visiting, 1 = done
-
-    def visit(node, stack):
-        mark = state.get(node)
-        if mark == 1:
-            return
-        if mark == 0:
-            cycle = " -> ".join(stack + [node])
-            raise ModelError("cyclic %s: %s" % (what, cycle))
-        state[node] = 0
-        for nxt in edges.get(node, ()):
-            visit(nxt, stack + [node])
-        state[node] = 1
-
+    """Depth-first, with an explicit stack so that long chains do not hit
+    the recursion limit."""
+    state = {}  # 0 = on the current path, 1 = done
     for start in sorted(edges):
-        visit(start, [])
+        if start in state:
+            continue
+        path, todo = [start], [iter(edges.get(start, ()))]
+        state[start] = 0
+        while todo:
+            node = next(todo[-1], None)
+            if node is None:
+                state[path.pop()] = 1
+                todo.pop()
+            elif state.get(node) == 0:
+                cycle = " -> ".join(path + [node])
+                raise ModelError("cyclic %s: %s" % (what, cycle))
+            elif node not in state:
+                state[node] = 0
+                path.append(node)
+                todo.append(iter(edges.get(node, ())))
 
 
 class SwInst(NamedTuple):

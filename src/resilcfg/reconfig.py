@@ -84,28 +84,16 @@ def describe_action(a) -> str:
 
 
 def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
-            memo: dict = None, static_cache: dict = None) -> bool:
+            memo: dict = None) -> bool:
     """Computer ``c`` satisfies the requirements to run ``sw`` in ``cfg``.
 
     Liveness of ``c`` is deliberately not required: a failed computer may be
     added as a new replica member, which helps in states where the failure
     budget is exhausted and the next event can only be a recovery.
 
-    ``static_cache`` maps (software id, computer) to the verdict for
-    software without functionality requirements, whose runnability does not
-    depend on the configuration.  It may be shared by every call with the
-    same failed set; a cached call returns what an uncached call returns.
+    ``memo`` is ``availability.avail_on``'s memo; it may be shared by calls
+    with the same configuration and failed set.
     """
-    if static_cache is not None and not sw.fn_req:
-        key = (sw.id, c)
-        hit = static_cache.get(key)
-        if hit is None:
-            comp = sys.computer(c)
-            hit = (model.compatible(sw, comp)
-                   and all(avail_dev(dt, comp, fs, sys)
-                           for dt in sw.devices))
-            static_cache[key] = hit
-        return hit
     comp = sys.computer(c)
     if not model.compatible(sw, comp):
         return False
@@ -118,9 +106,8 @@ def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
 
 
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
-                    sys: SystemModel, assume_target_valid: bool = False,
-                    static_canrun: dict = None,
-                    live_cache: dict = None) -> bool:
+                    sys: SystemModel,
+                    assume_target_valid: bool = False) -> bool:
     """The reconfiguration relation.
 
     Expects ``cfg`` to be free of dead instances (callers apply
@@ -139,15 +126,6 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
     """
     if not assume_target_valid and not valid_config(target, sys):
         return False
-    if live_cache is None:
-        live_cache = {}
-
-    def is_live(h):
-        v = live_cache.get(h)
-        if v is None:
-            v = live(h, fs, sys)
-            live_cache[h] = v
-        return v
 
     src_rsi = {r.sw: r for r in cfg.rsi}
     for r2 in target.rsi:
@@ -161,20 +139,19 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
     # Move donors: live removed instances, each usable for one move.
     donors = {}
     for s in cfg.si:
-        if s not in tgt_si and is_live(s.computer):
+        if s not in tgt_si and live(s.computer, fs, sys):
             donors[s.sw] = donors.get(s.sw, 0) + 1
     for si2 in target.si:
         if si2 in src_si:
             continue
         sw = sys.sw(si2.sw)
-        if not is_live(si2.computer):
+        if not live(si2.computer, fs, sys):
             return False
         if not sw.startable:
             if not (sw.movable and donors.get(si2.sw, 0) > 0):
                 return False
             donors[si2.sw] -= 1
-        if not can_run(si2.computer, sw, target, fs, sys, memo,
-                       static_canrun):
+        if not can_run(si2.computer, sw, target, fs, sys, memo):
             return False
 
     for r2 in target.rsi:
@@ -183,21 +160,20 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
             continue
         proto = sys.protocol(r1.protocol)
         need = quorum_size(proto.reconfig_q, len(r1.computers))
-        if sum(1 for m in r1.computers if is_live(m)) < need:
+        if sum(1 for m in r1.computers if live(m, fs, sys)) < need:
             return False
         sw = sys.sw(r2.sw)
         if not set(r2.computers) <= set(r1.computers):
             if not sw.members_addable:
                 return False
         if proto.active:
-            if not all(can_run(m, sw, target, fs, sys, memo, static_canrun)
+            if not all(can_run(m, sw, target, fs, sys, memo)
                        for m in r2.computers):
                 return False
         else:
-            if not is_live(r2.primary):
+            if not live(r2.primary, fs, sys):
                 return False
-            if not can_run(r2.primary, sw, target, fs, sys, memo,
-                           static_canrun):
+            if not can_run(r2.primary, sw, target, fs, sys, memo):
                 return False
     return True
 

@@ -7,18 +7,18 @@ suffice: anything a system survives when failures arrive all at once it
 also survives when they arrive in installments.
 
 The search keeps one context per failed set: its bursts, its successor
-candidates, its caches and the memo of the verdicts of the nodes explored
-under it.  A node's state representative under a failed set is computed
-when first asked for and shared by every failed set that fails the same
-computers, and the candidate list is built, in batches, only as far as the
-successor scans reach.  A resilient node's memo entry keeps, per burst,
-the successor and the witness action sequence that reaches it, so policy
-extraction reads policies from the memo.  Recursion always grows the failed
-set, so the memo is purely a cache and no cycle detection is needed.  With
-full quotient reduction the successor scan visits one deterministic state
-representative per equivalence class; verdicts carry over to every class
-member because relocatable instances can be re-hosted freely during
-reconfiguration.
+candidates, the successor found for each source state and the memo of the
+verdicts of the nodes explored under it.  A node's state representative
+under a failed set is computed when first asked for and shared by every
+failed set that fails the same computers, and the candidate list is built,
+in batches, only as far as the successor scans reach.  A resilient node's
+memo entry keeps, per burst, the successor and the witness action sequence
+that reaches it, so policy extraction reads policies from the memo.
+Recursion always grows the failed set, so the memo is purely a cache and no
+cycle detection is needed.  With full quotient reduction the successor scan
+visits one deterministic state representative per equivalence class;
+verdicts carry over to every class member because relocatable instances
+can be re-hosted freely during reconfiguration.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .model import CRASH, Config, ModelError, SystemModel, valid_config
+from .model import Config, ModelError, SystemModel, valid_config
 from .failures import (
     EMPTY_FS,
     FailedSet,
@@ -121,10 +121,12 @@ class _MemoEntry(NamedTuple):
 
 
 class _FailedSetContext:
-    """What the search keeps for one failed set."""
+    """What the search keeps for one failed set.  ``succ`` is the only
+    cache of the successor scan: caching liveness, runnability or the
+    availability of one-resilience candidates here saved no time."""
 
     __slots__ = ("fs", "dead", "states", "bursts", "candidates", "reached",
-                 "canrun", "live", "memo", "avail", "succ")
+                 "memo", "succ")
 
     def __init__(self, fs: FailedSet, dead: int, states: dict):
         self.fs = fs
@@ -133,10 +135,7 @@ class _FailedSetContext:
         self.bursts = None      # computed by ``_next_bursts``
         self.candidates = []    # grown by ``_grow_candidates``
         self.reached = 0        # nodes the candidates cover, in node order
-        self.canrun = {}        # ``can_run`` static cache
-        self.live = {}          # hardware id -> live under ``fs``
         self.memo = {}          # node -> _MemoEntry
-        self.avail = {}         # node -> one-resilience availability
         self.succ = {}          # (source, recursive) -> (node, actions)/None
 
 
@@ -398,12 +397,10 @@ class Synthesizer:
                 if recursive:
                     if not self.resilient_node(node2, fs2):
                         continue
-                elif not self._avail_node(node2, cfg2, ctx):
+                elif not avail(self.req.crit_fns, cfg2, fs2, self.sys):
                     continue
                 if not can_reconfigure(src, cfg2, fs2, self.sys,
-                                       assume_target_valid=True,
-                                       static_canrun=ctx.canrun,
-                                       live_cache=ctx.live):
+                                       assume_target_valid=True):
                     continue
                 try:
                     actions = derive_actions(src, cfg2, fs2, self.sys,
@@ -420,13 +417,6 @@ class Synthesizer:
                 segment = cands[scanned:]
         ctx.succ[key] = found
         return found
-
-    def _avail_node(self, node, cfg: Config, ctx: _FailedSetContext) -> bool:
-        hit = ctx.avail.get(node)
-        if hit is None:
-            hit = ctx.avail[node] = avail(self.req.crit_fns, cfg, ctx.fs,
-                                          self.sys)
-        return hit
 
     # -- public state predicates --------------------------------------------
 
@@ -609,8 +599,7 @@ def _replay_step(policy: Policy, state: State, burst: FailedSet,
 
 def _where(burst: FailedSet, fs: FailedSet) -> str:
     def names(failures):
-        return [f.hw if f.ftype == CRASH else "%s (%s)" % f
-                for f in fs_key(failures)]
+        return [f.hw for f in fs_key(failures)]
 
     return "burst %s at failed set %s" % (names(burst), names(fs))
 

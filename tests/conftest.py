@@ -24,7 +24,7 @@ from resilcfg import (
     remove_dead,
     rep_inst,
 )
-from resilcfg import fixtures
+from resilcfg import fixtures, modelio
 
 
 @pytest.fixture(scope="session")
@@ -55,6 +55,17 @@ def tiny_config(loc_host="c0", plan_members=("c0", "c1"), plan_primary="c0",
         rsi.append(rep_inst("PLAN", "primary-backup", plan_members,
                             plan_primary))
     return Config.make(si, rsi)
+
+
+def power_chain_model(n: int) -> dict:
+    """The tiny model as a model-file dict, with devices ``p0``...``p<n-1>``,
+    each powered by the next, and ``c0`` powered by ``p0``."""
+    raw = modelio.model_to_dict(*fixtures.tiny())
+    raw["system"]["devices"] += [
+        {"id": "p%d" % i, "deviceType": "psu",
+         "power": ["p%d" % (i + 1)] if i + 1 < n else []} for i in range(n)]
+    raw["system"]["computers"][0]["power"] = ["p0"]
+    return raw
 
 
 FS0 = frozenset()

@@ -15,9 +15,12 @@ from resilcfg import (
     crash,
     live,
     quorum_size,
+    solve_best_resilient,
 )
+from resilcfg.modelio import model_from_dict
 from resilcfg.oracle import all_valid_configs
-from conftest import FS0, FS_C0, FS_C1, small_random_model, tiny_config
+from conftest import (FS0, FS_C0, FS_C1, power_chain_model,
+                      small_random_model, tiny_config)
 
 
 # -- independent reference evaluator -----------------------------------------
@@ -79,6 +82,40 @@ def test_live_power_chain():
     assert live("c0", FS0, sys)
     # The sole power source is a single point of failure.
     assert not live("c0", frozenset({crash("ups")}), sys)
+
+
+def _reference_live(h, fs, sys):
+    """The recursive definition: unfailed, and internally powered or with
+    a live power source."""
+    power = sys.power_of(h)
+    return crash(h) not in fs and (
+        not power or any(_reference_live(p, fs, sys) for p in power))
+
+
+def test_live_with_shared_and_alternative_power_sources():
+    rng = random.Random(5)
+    for _ in range(200):
+        ids = ["d%d" % i for i in range(8)]
+        hw = [Device(id=h, device_type="t",
+                     power=frozenset(p for p in ids[i + 1:]
+                                     if rng.random() < 0.3))
+              for i, h in enumerate(ids)]
+        sys = SystemModel(hw=hw, sw=[], protocols=[], sync=True)
+        fs = frozenset(crash(h) for h in ids if rng.random() < 0.3)
+        for h in ids:
+            assert live(h, fs, sys) == _reference_live(h, fs, sys)
+
+
+def test_live_along_a_power_chain_longer_than_the_recursion_limit():
+    sys, req = model_from_dict(power_chain_model(3000))
+    assert live("c0", FS0, sys)
+    assert not live("c0", frozenset({crash("p2999")}), sys)
+    assert not live("c0", frozenset({crash("p1500")}), sys)
+    # The solve reads liveness through the whole chain, and a chain of
+    # devices no failure model fails powers c0 as a single device does.
+    short = model_from_dict(power_chain_model(1))
+    assert (solve_best_resilient(sys, req).counts()
+            == solve_best_resilient(*short).counts())
 
 
 # -- device availability -------------------------------------------------------

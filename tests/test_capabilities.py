@@ -1,18 +1,10 @@
-"""Recovery capabilities of software components and the cached ``can_run``."""
+"""Recovery capabilities of software components."""
 
 import itertools
-import random
 
 import pytest
 
-from resilcfg import (
-    Software,
-    can_run,
-    generate_all_configs,
-    next_failed_sets,
-)
-from resilcfg.failures import EMPTY_FS
-from conftest import random_model
+from resilcfg import Software
 
 FLAGS = ("fast_starting", "resumable", "persis_state", "small_persis_state",
          "migratable")
@@ -40,26 +32,3 @@ def test_capabilities_stay_out_of_equality():
     assert a == b and hash(a) == hash(b)
     assert "startable" not in repr(a)
 
-
-def test_cached_can_run_equals_uncached_can_run():
-    """One static cache per failed set, shared across configurations, gives
-    the verdicts of uncached calls, for software with and without
-    functionality requirements."""
-    rng = random.Random(11)
-    seen = set()
-    for _ in range(60):
-        sys, req = random_model(rng, max_computers=3, max_software=3)
-        cfgs = generate_all_configs(sys, req)[:15]
-        for fs in [EMPTY_FS] + next_failed_sets(req.fm, EMPTY_FS, sys):
-            cache = {}
-            for cfg in cfgs:
-                for sw in sys.software.values():
-                    for c in sys.computer_ids:
-                        expected = can_run(c, sw, cfg, fs, sys)
-                        for _ in range(2):  # a miss, then a hit
-                            assert can_run(c, sw, cfg, fs, sys,
-                                           static_cache=cache) == expected
-                        seen.add((bool(sw.fn_req), expected))
-            assert all(not sys.sw(sid).fn_req for sid, _ in cache)
-    assert seen == {(False, False), (False, True), (True, False),
-                    (True, True)}

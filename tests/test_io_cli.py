@@ -23,7 +23,7 @@ from resilcfg import (
 from resilcfg.availability import avail
 from resilcfg import fixtures, modelio
 from resilcfg.cli import main
-from conftest import over_budget_root, random_model
+from conftest import over_budget_root, power_chain_model, random_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -198,6 +198,25 @@ def test_cli_validate_of_deeply_nested_json_is_one_line(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert "maximum recursion depth exceeded" in err and err.count("\n") == 1
+
+
+def test_cli_validate_of_a_long_power_chain(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(power_chain_model(3000)))
+    assert main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--model"]],
+                         ids=["validate", "solve"])
+def test_cli_rejects_a_failure_type_other_than_crash(tmp_path, capsys,
+                                                      command):
+    raw = modelio.model_to_dict(*fixtures.tiny())
+    raw["failureModel"]["bounds"][0]["fType"] = "byzantine"
+    path = tmp_path / "byzantine.json"
+    path.write_text(json.dumps(raw))
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad failure type 'byzantine'" in err and err.count("\n") == 1
 
 
 def test_cli_solve_exit_codes(tmp_path):

@@ -194,8 +194,13 @@ def test_system_rejects_unknown_power():
 def test_system_rejects_cyclic_power():
     a = Device(id="a", device_type="t", power=frozenset({"b"}))
     b = Device(id="b", device_type="t", power=frozenset({"a"}))
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError,
+                       match="^cyclic power references: a -> b -> a$"):
         SystemModel(hw=[a, b], sw=[], protocols=[], sync=True)
+    # The walk starts at the first hardware id, so the path names it.
+    x = Device(id="0x", device_type="t", power=frozenset({"a"}))
+    with pytest.raises(ModelError, match=": 0x -> a -> b -> a$"):
+        SystemModel(hw=[a, b, x], sw=[], protocols=[], sync=True)
 
 
 def test_system_rejects_cyclic_functionality_graph():

@@ -66,6 +66,11 @@ def test_every_optional_field_round_trips_at_a_non_default_value(
     entry[field] = _non_default(typ, default, entry.get("id"))
     if field == "persisState":
         entry["singleInstance"] = True
+    if field == "fType":
+        # Only crashes are modelled: the default is the one valid type.
+        with pytest.raises(ModelError, match="bad failure type"):
+            modelio.model_from_dict(raw)
+        return
     assert modelio.model_to_dict(*modelio.model_from_dict(raw)) == raw
 
 
