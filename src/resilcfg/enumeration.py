@@ -152,23 +152,46 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
 
 def _placement_options(sys: SystemModel, req: ResilienceRequirement):
     """Per component, in id order: (software, options), each option an
-    (si tuple, rsi tuple, indices of its hosts) triple.  Hosts are indexed
-    in ``sys.computer_ids`` order, and a computer counts once even when it
-    hosts both an unreplicated instance and a replica of the component."""
+    (si tuple, rsi tuple, indices of its hosts, initial part) quadruple.
+    Hosts are indexed in ``sys.computer_ids`` order, and a computer counts
+    once even when it hosts both an unreplicated instance and a replica of
+    the component.  The initial part is ``_initial_part``'s."""
     f = max_simult_fail(req.fm)
     crit_sw = critical_software(sys, req.crit_fns)
     index = {c: i for i, c in enumerate(sys.computer_ids)}
     out = []
     for sw in sys.software.values():
+        # Without ``fn_req``, whether a computer can run ``sw`` does not
+        # depend on the configuration.
+        runs_on = None if sw.fn_req else {
+            c for c in sys.computer_ids
+            if can_run(c, sw, Config(), EMPTY_FS, sys)}
         opts = []
         for si_set, r in _software_options(sw, sys, sw.id in crit_sw, f):
             hosts = {index[s.computer] for s in si_set}
             if r is not None:
                 hosts.update(index[c] for c in r.computers)
             opts.append((si_set, () if r is None else (r,),
-                         tuple(sorted(hosts))))
+                         tuple(sorted(hosts)), _initial_part(r, runs_on, sys)))
         out.append((sw, opts))
     return out
+
+
+def _initial_part(r, runs_on, sys: SystemModel):
+    """What a placement option with replicated instance ``r`` (or None)
+    leaves of ``_init_relevant``'s test: False when no configuration with
+    it is initial, else the replicated instances whose runnability depends
+    on the rest of the configuration.  ``runs_on`` is the set of computers
+    that can run the software in every configuration, or None when that
+    depends on the configuration (the software has ``fn_req``)."""
+    if r is None:
+        return ()
+    if (r.primary is not None and _all_equivalent(r.computers, sys)
+            and r.primary != r.computers[0]):
+        return False
+    if runs_on is None:
+        return (r,)
+    return () if runs_on.issuperset(r.computers) else False
 
 
 def _critical_masks(sys: SystemModel, req: ResilienceRequirement) -> list:
@@ -313,12 +336,12 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
         memo_key = symmetric_memo_key(sys)
     options = _placement_options(sys, req)
     crit_masks = _critical_masks(sys, req)
-    may_be_absent = [any(not hosts for _, _, hosts in opts)
+    may_be_absent = [any(not hosts for _, _, hosts, _ in opts)
                      for _, opts in options]
     # The options with instances, each with its replicated instances' part
     # of the signature, shared by every class that uses the option.
-    present_opts = [[(si_set, rsi, hosts, tuple(map(_rsi_key, rsi)))
-                     for si_set, rsi, hosts in opts if hosts]
+    present_opts = [[(si_set, rsi, hosts, tuple(map(_rsi_key, rsi)), init)
+                     for si_set, rsi, hosts, init in opts if hosts]
                     for _, opts in options]
 
     def presences(i, mask):
@@ -337,13 +360,6 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
         classes.extend(_classes_with(mask, options, present_opts, sys,
                                      memo_key))
     classes.sort(key=lambda c: c.sig)
-    # Whether a class is initial is decided once, on its first member.  The
-    # test reads the replicated instances, which are fixed, and the
-    # runnability of their members, which depends on the hosts of
-    # relocatable providers only through their devices, which the bag
-    # fixes.
-    for cls in classes:
-        cls.initial = _init_relevant(cls.first, sys)
     return classes
 
 
@@ -366,7 +382,7 @@ def _classes_with(mask: int, options, present_opts, sys: SystemModel,
     for i in reloc:
         sw = options[i][0]
         by_bag = {}
-        for si_set, _, hosts, _ in present_opts[i]:
+        for si_set, _, hosts, _, _ in present_opts[i]:
             bag = tuple(sorted(tuple(sorted(sw.devices & devices[h]))
                                for h in hosts))
             mask_h = sum(1 << h for h in hosts)
@@ -395,7 +411,9 @@ def _classes_with(mask: int, options, present_opts, sys: SystemModel,
 
     out = []
 
-    def place(k, cores, ram, si, rsi, rsi_keys):
+    def place(k, cores, ram, si, rsi, rsi_keys, init):
+        """``init`` is the options' initial parts joined: False, or the
+        replicated instances left to test."""
         if k == len(fixed):
             fixed_cfg = Config(si, rsi)
             for bags, size in count(0, cores, ram).items():
@@ -404,18 +422,27 @@ def _classes_with(mask: int, options, present_opts, sys: SystemModel,
                 reloc_bag = tuple((sw.id, d) for (sw, _), bag in
                                   zip(groups, bags) for d in bag)
                 sig = CanonicalSignature(si, rsi_keys, reloc_bag)
-                out.append(QuotientClass(sig, fixed_cfg, slots, cores, ram,
-                                         size))
+                cls = QuotientClass(sig, fixed_cfg, slots, cores, ram, size)
+                # Whether a class is initial is decided once, on its first
+                # member.  The runnability of a replica member depends on
+                # the hosts of relocatable providers only through their
+                # devices, which the bag fixes.
+                cls.initial = init is not False and all(
+                    can_run(m, sys.sw(r.sw), cls.first, EMPTY_FS, sys)
+                    for r in init for m in r.computers)
+                out.append(cls)
             return
         sw = options[fixed[k]][0]
-        for si_set, rsi_add, hosts, keys_add in present_opts[fixed[k]]:
+        for si_set, rsi_add, hosts, keys_add, part in present_opts[fixed[k]]:
             left = _take(hosts, sw, cores, ram)
             if left is not None:
                 place(k + 1, *left, si + si_set, rsi + rsi_add,
-                      rsi_keys + keys_add)
+                      rsi_keys + keys_add,
+                      False if init is False or part is False
+                      else init + part)
 
     place(0, tuple(c.cores for c in sys.computers.values()),
-          tuple(c.ram for c in sys.computers.values()), (), (), ())
+          tuple(c.ram for c in sys.computers.values()), (), (), (), ())
     return out
 
 

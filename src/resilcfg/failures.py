@@ -216,12 +216,13 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     def survives(sw_id):
         return sys.sw(sw_id).survives_host_loss
 
-    si = [s for s in cfg.si if s.computer not in dead or survives(s.sw)]
-    rsi = [r for r in cfg.rsi
-           if not set(r.computers) <= dead or survives(r.sw)]
+    si = tuple(s for s in cfg.si if s.computer not in dead or survives(s.sw))
+    rsi = tuple(r for r in cfg.rsi
+                if not set(r.computers) <= dead or survives(r.sw))
     if len(si) == len(cfg.si) and len(rsi) == len(cfg.rsi):
         return cfg
-    return Config.make(si, rsi)
+    # Filtered canonical tuples stay canonical.
+    return Config(si, rsi)
 
 
 class HostLoss:

@@ -9,7 +9,8 @@ everywhere, so fixtures can carry notes.
 All writers emit canonical JSON (sorted keys, fixed separators, trailing
 newline) so equal values serialize identically.  Policy files are compact
 (no indentation, no spaces after separators); model and report files keep
-``indent=2``.
+``indent=2``, written by ``_write_indented`` with the bytes ``json.dump``
+would write.
 
 A replay schedule is a list of bursts, each a list of the ids of hardware
 that crashes together.
@@ -63,8 +64,52 @@ class ModelLoadError(ModelError):
 
 def _dump(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_indented(obj, fh.write)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_indented(obj, write):
+    """Write the text of ``json.dumps(obj, indent=2, sort_keys=True)`` and a
+    newline through ``write``, a few thousand chunks at a time; object keys
+    must be strings.  ``json.dump`` with ``indent`` runs the pure-Python
+    encoder and writes each small chunk on its own, and text built whole
+    would hold a large report's chunks all at once."""
+    out = []
+    _indented(obj, "", out, write)
+    out.append("\n")
+    write("".join(out))
+
+
+def _indented(obj, pad: str, out: list, write):
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = pad + "  "
+        sep = "\n" + inner
+        if isinstance(obj, dict):
+            out.append("{")
+            for key in sorted(obj):
+                out += (sep, _encode_str(key), ": ")
+                _indented(obj[key], inner, out, write)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "}")
+        else:
+            out.append("[")
+            for item in obj:
+                out.append(sep)
+                _indented(item, inner, out, write)
+                sep = ",\n" + inner
+            out.append("\n" + pad + "]")
+        if len(out) > 4096:
+            write("".join(out))
+            out.clear()
+    else:
+        out.append(json.dumps(obj))
 
 
 def _compact(obj) -> str:
@@ -444,11 +489,13 @@ def policy_to_dict(policy: Policy) -> dict:
     fs, fss = _table(lambda key: [list(f) for f in key])
     act, acts = _table(action_to_obj)
     roots = [[sig(s), cfg(c)] for s, c in policy.roots]
+    # Many entries share a state configuration: key each one once.
+    state_keys = {c: c.key() for c in {k[0] for k in policy.entries}}
     entries = [[cfg(state), fs(fskey), fs(burstkey), sig(e.target_sig),
                 cfg(e.target_cfg), [act(a) for a in e.actions]]
                for (state, fskey, burstkey), e in sorted(
                    policy.entries.items(),
-                   key=lambda kv: (kv[0][0].key(), kv[0][1], kv[0][2]))]
+                   key=lambda kv: (state_keys[kv[0][0]], kv[0][1], kv[0][2]))]
     return {"version": POLICY_VERSION, "model": policy.model,
             "signatures": sigs, "configs": cfgs, "failedSets": fss,
             "actions": acts, "roots": roots, "entries": entries}

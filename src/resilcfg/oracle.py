@@ -2,7 +2,8 @@
 
 Everything here trades performance for obviousness: resilience by literal
 recursion over all bursts with successors drawn from every valid
-configuration, reachability by breadth-first search over action sequences,
+configuration, actions applied with the whole result checked valid,
+reachability by breadth-first search over those action applications,
 exhaustive enumeration of valid configurations, the relevant
 configurations listed one by one, and class sizes counted on the raw
 per-host budgets.  A size guard refuses models where the exponential
@@ -16,9 +17,12 @@ from collections import deque
 
 from .model import (
     Config,
+    ModelError,
     SwInst,
     SystemModel,
+    quorum_size,
     rep_inst,
+    resources_ok,
     valid_config,
 )
 from .failures import (
@@ -28,7 +32,7 @@ from .failures import (
     next_failed_sets,
     remove_dead,
 )
-from .availability import avail
+from .availability import avail, live
 from .reconfig import (
     ActionRejected,
     ChangeReps,
@@ -37,8 +41,8 @@ from .reconfig import (
     Start,
     Stop,
     StopRep,
-    apply_action,
     can_reconfigure,
+    can_run,
     derive_actions,
 )
 from .enumeration import (
@@ -125,7 +129,7 @@ def relevant_configs(sys: SystemModel, req: ResilienceRequirement) -> list:
                 out.append(Config(si, rsi))
             return
         sw, opts = options[i]
-        for si_set, rsi_add, hosts in opts:
+        for si_set, rsi_add, hosts, _ in opts:
             left = _take(hosts, sw, cores, ram)
             if left is not None:
                 dfs(i + 1, *left, si + si_set, rsi + rsi_add,
@@ -212,9 +216,111 @@ def _enabled_actions(state: State, sys: SystemModel):
             yield Start(SwInst(sw.id, c))
 
 
+def naive_apply_action(state: State, action, sys: SystemModel) -> State:
+    """Apply one action, enforcing its preconditions, and check the whole
+    resulting configuration valid: the reference for
+    ``reconfig.apply_action``, which re-checks only what the action touches
+    and so needs a valid source."""
+    cfg, fs = state.cfg, state.fs
+    if isinstance(action, Stop):
+        if action.si not in cfg.si:
+            raise ActionRejected(action, "instance not present")
+        cfg2 = Config.make([s for s in cfg.si if s != action.si], cfg.rsi)
+    elif isinstance(action, StopRep):
+        r = cfg.rsi_for(action.sw)
+        if r is None:
+            raise ActionRejected(action, "replicated instance not present")
+        cfg2 = Config.make(cfg.si, [x for x in cfg.rsi if x.sw != action.sw])
+    elif isinstance(action, Start):
+        cfg2 = _naive_start(cfg, fs, action, sys)
+    elif isinstance(action, Move):
+        cfg2 = _naive_move(cfg, fs, action, sys)
+    elif isinstance(action, ChangeReps):
+        cfg2 = _naive_change_reps(cfg, fs, action, sys)
+    else:
+        raise ModelError("unknown action %r" % (action,))
+    if not valid_config(cfg2, sys):
+        raise ActionRejected(action, "resulting configuration invalid")
+    return State(cfg2, fs)
+
+
+def _naive_start(cfg, fs, action, sys):
+    si = action.si
+    if si in cfg.si:
+        raise ActionRejected(action, "instance already present")
+    sw = sys.sw(si.sw)
+    if not live(si.computer, fs, sys):
+        raise ActionRejected(action, "target computer not live")
+    if not sw.startable:
+        raise ActionRejected(action, "software not startable "
+                                     "(needs fast-starting, stateless, resumable)")
+    if sw.single_instance and si.sw in cfg.instance_software():
+        raise ActionRejected(action, "single-instance software already running")
+    cfg2 = Config.make(cfg.si + (si,), cfg.rsi)
+    if not resources_ok(cfg2, sys):
+        raise ActionRejected(action, "insufficient resources")
+    if not can_run(si.computer, sw, cfg2, fs, sys):
+        raise ActionRejected(action, "requirements not met on target computer")
+    return cfg2
+
+
+def _naive_move(cfg, fs, action, sys):
+    si, target = action.si, action.target
+    if si not in cfg.si:
+        raise ActionRejected(action, "instance not present")
+    if target == si.computer:
+        raise ActionRejected(action, "moving to the same computer")
+    sw = sys.sw(si.sw)
+    if not sw.movable:
+        raise ActionRejected(action, "software not migratable"
+                             if not sw.migratable
+                             else "persistent state too large to move")
+    if not (live(si.computer, fs, sys) and live(target, fs, sys)):
+        raise ActionRejected(action, "source and target must both be live")
+    moved = SwInst(si.sw, target)
+    cfg2 = Config.make([s for s in cfg.si if s != si] + [moved], cfg.rsi)
+    if not resources_ok(cfg2, sys):
+        raise ActionRejected(action, "insufficient resources")
+    if not can_run(target, sw, cfg2, fs, sys):
+        raise ActionRejected(action, "requirements not met on target computer")
+    return cfg2
+
+
+def _naive_change_reps(cfg, fs, action, sys):
+    r = cfg.rsi_for(action.sw)
+    if r is None:
+        raise ActionRejected(action, "replicated instance not present")
+    sw = sys.sw(action.sw)
+    proto = sys.protocol(r.protocol)
+    new = rep_inst(r.sw, r.protocol, action.computers,
+                   None if proto.active else action.primary)
+    cfg2 = Config.make(cfg.si, [x for x in cfg.rsi if x.sw != r.sw] + [new])
+    if not resources_ok(cfg2, sys):
+        raise ActionRejected(action, "insufficient resources")
+    need = quorum_size(proto.reconfig_q, len(r.computers))
+    if sum(1 for m in r.computers if live(m, fs, sys)) < need:
+        raise ActionRejected(action, "no live reconfiguration quorum")
+    if not set(new.computers) <= set(r.computers) and not sw.members_addable:
+        raise ActionRejected(action, "cannot add members "
+                                     "(software slow-starting or large state)")
+    if proto.active:
+        for m in new.computers:
+            if not can_run(m, sw, cfg2, fs, sys):
+                raise ActionRejected(action, "member %s cannot run software" % m)
+    else:
+        if new.primary is None or new.primary not in new.computers:
+            raise ActionRejected(action, "primary must be a member")
+        if not live(new.primary, fs, sys):
+            raise ActionRejected(action, "primary not live")
+        if not can_run(new.primary, sw, cfg2, fs, sys):
+            raise ActionRejected(action, "primary cannot run software")
+    return cfg2
+
+
 def reachable_by_actions(cfg: Config, target: Config, fs: FailedSet,
                          sys: SystemModel, max_len: int) -> bool:
-    """BFS over action applications from ``(cfg, fs)`` up to ``max_len``."""
+    """BFS over ``naive_apply_action`` applications from ``(cfg, fs)`` up
+    to ``max_len``."""
     _guard(sys)
     if cfg == target:
         return True
@@ -227,7 +333,7 @@ def reachable_by_actions(cfg: Config, target: Config, fs: FailedSet,
             continue
         for action in _enabled_actions(state, sys):
             try:
-                nxt = apply_action(state, action, sys)
+                nxt = naive_apply_action(state, action, sys)
             except ActionRejected:
                 continue
             if nxt.cfg == target:

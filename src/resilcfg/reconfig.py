@@ -5,10 +5,17 @@ direct characterization of the reconfiguration relation.
 reachable from a source state, by constraining the differences between the
 two configurations; ``derive_actions`` then materializes a witness action
 sequence whose step-by-step application stays valid throughout.
+
+``apply_action`` expects a valid source configuration and re-checks only
+what the action touches, so a valid source gives a valid result.  Its
+callers start from valid configurations: the witness search from a valid
+state with its dead instances removed (which drops whole instances only),
+and policy replay from a root it checks with ``valid_config``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +26,7 @@ from .model import (
     SystemModel,
     quorum_size,
     rep_inst,
-    resources_ok,
+    run,
     valid_config,
 )
 from .failures import FailedSet, State
@@ -180,17 +187,26 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
 
 def apply_action(state: State, action, sys: SystemModel) -> State:
     """Apply one action, enforcing its preconditions; the failed set is
-    unchanged and the resulting configuration is checked valid."""
+    unchanged.
+
+    The source configuration must be valid (``model.valid_config``), and
+    then so is the result: only what the action touches is checked again.
+    Stops need no check.  A start or a move checks the core and RAM budget
+    of its new host, and a membership change those of the added members;
+    a passive one also checks that the added members are compatible
+    (clause "resulting configuration invalid"), which ``can_run`` covers
+    for active members.  ``oracle.naive_apply_action`` is the reference
+    that checks the whole result.
+    """
     cfg, fs = state.cfg, state.fs
     if isinstance(action, Stop):
         if action.si not in cfg.si:
             raise ActionRejected(action, "instance not present")
-        cfg2 = Config.make([s for s in cfg.si if s != action.si], cfg.rsi)
+        cfg2 = Config(tuple(s for s in cfg.si if s != action.si), cfg.rsi)
     elif isinstance(action, StopRep):
-        r = cfg.rsi_for(action.sw)
-        if r is None:
+        if cfg.rsi_for(action.sw) is None:
             raise ActionRejected(action, "replicated instance not present")
-        cfg2 = Config.make(cfg.si, [x for x in cfg.rsi if x.sw != action.sw])
+        cfg2 = Config(cfg.si, tuple(r for r in cfg.rsi if r.sw != action.sw))
     elif isinstance(action, Start):
         cfg2 = _apply_start(cfg, fs, action, sys)
     elif isinstance(action, Move):
@@ -199,9 +215,15 @@ def apply_action(state: State, action, sys: SystemModel) -> State:
         cfg2 = _apply_change_reps(cfg, fs, action, sys)
     else:
         raise ModelError("unknown action %r" % (action,))
-    if not valid_config(cfg2, sys):
-        raise ActionRejected(action, "resulting configuration invalid")
     return State(cfg2, fs)
+
+
+def _fits(c: str, cfg: Config, sys: SystemModel) -> bool:
+    """The core and RAM budgets of computer ``c`` hold in ``cfg``."""
+    comp = sys.computer(c)
+    sws = [sys.software[s] for s in run(c, cfg, sys)]
+    return (sum(sw.cores for sw in sws) <= comp.cores
+            and sum(sw.ram for sw in sws) <= comp.ram)
 
 
 def _apply_start(cfg, fs, action, sys):
@@ -216,8 +238,10 @@ def _apply_start(cfg, fs, action, sys):
                                      "(needs fast-starting, stateless, resumable)")
     if sw.single_instance and si.sw in cfg.instance_software():
         raise ActionRejected(action, "single-instance software already running")
-    cfg2 = Config.make(cfg.si + (si,), cfg.rsi)
-    if not resources_ok(cfg2, sys):
+    si2 = list(cfg.si)
+    insort(si2, si)
+    cfg2 = Config(tuple(si2), cfg.rsi)
+    if not _fits(si.computer, cfg2, sys):
         raise ActionRejected(action, "insufficient resources")
     if not can_run(si.computer, sw, cfg2, fs, sys):
         raise ActionRejected(action, "requirements not met on target computer")
@@ -238,8 +262,11 @@ def _apply_move(cfg, fs, action, sys):
     if not (live(si.computer, fs, sys) and live(target, fs, sys)):
         raise ActionRejected(action, "source and target must both be live")
     moved = SwInst(si.sw, target)
-    cfg2 = Config.make([s for s in cfg.si if s != si] + [moved], cfg.rsi)
-    if not resources_ok(cfg2, sys):
+    si2 = [s for s in cfg.si if s != si]
+    if moved not in si2:
+        insort(si2, moved)
+    cfg2 = Config(tuple(si2), cfg.rsi)
+    if not _fits(target, cfg2, sys):
         raise ActionRejected(action, "insufficient resources")
     if not can_run(target, sw, cfg2, fs, sys):
         raise ActionRejected(action, "requirements not met on target computer")
@@ -254,13 +281,16 @@ def _apply_change_reps(cfg, fs, action, sys):
     proto = sys.protocol(r.protocol)
     new = rep_inst(r.sw, r.protocol, action.computers,
                    None if proto.active else action.primary)
-    cfg2 = Config.make(cfg.si, [x for x in cfg.rsi if x.sw != r.sw] + [new])
-    if not resources_ok(cfg2, sys):
+    # ``rsi`` is sorted by software id, so the new instance takes the old
+    # one's place.
+    cfg2 = Config(cfg.si, tuple(new if x is r else x for x in cfg.rsi))
+    added = [m for m in new.computers if m not in r.computers]
+    if not all(_fits(m, cfg2, sys) for m in added):
         raise ActionRejected(action, "insufficient resources")
     need = quorum_size(proto.reconfig_q, len(r.computers))
     if sum(1 for m in r.computers if live(m, fs, sys)) < need:
         raise ActionRejected(action, "no live reconfiguration quorum")
-    if not set(new.computers) <= set(r.computers) and not sw.members_addable:
+    if added and not sw.members_addable:
         raise ActionRejected(action, "cannot add members "
                                      "(software slow-starting or large state)")
     if proto.active:
@@ -274,6 +304,8 @@ def _apply_change_reps(cfg, fs, action, sys):
             raise ActionRejected(action, "primary not live")
         if not can_run(new.primary, sw, cfg2, fs, sys):
             raise ActionRejected(action, "primary cannot run software")
+        if not all(model.compatible(sw, sys.computer(m)) for m in added):
+            raise ActionRejected(action, "resulting configuration invalid")
     return cfg2
 
 

@@ -1,5 +1,6 @@
 """Model/policy serialization round-trips and the command-line driver."""
 
+import io
 import json
 import pathlib
 import random
@@ -7,6 +8,7 @@ import subprocess
 import sys as _python
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resilcfg import (
     ModelError,
@@ -33,6 +35,37 @@ def test_load_tiny_fixture():
     assert set(sys.computers) == {"c0", "c1"}
     assert set(sys.software) == {"LOC", "PLAN"}
     assert req.crit_fns == {"loc", "plan"}
+
+
+def _indented(obj) -> str:
+    out = io.StringIO()
+    modelio._write_indented(obj, out.write)
+    return out.getvalue()[:-1]
+
+
+def test_indented_writer_matches_json_on_the_fixtures():
+    for name, builder in fixtures.BUILDERS.items():
+        sys, req = builder()
+        result = solve_best_resilient(sys, req)
+        for obj in (modelio.model_to_dict(sys, req, ["a note"]),
+                    modelio.report_to_dict(result, "fixtures/%s.json" % name)):
+            assert _indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_values)
+def test_indented_writer_matches_json(obj):
+    """Non-ASCII and escaped strings, empty lists and objects, tuples,
+    nulls, booleans, integers and floats, nested at any depth."""
+    assert _indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_model_round_trip(tmp_path):

@@ -1,6 +1,9 @@
 """Reconfiguration: runnability, the relation, action semantics, witnesses."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resilcfg import (
     ActionRejected,
@@ -21,7 +24,8 @@ from resilcfg import (
     remove_dead,
     rep_inst,
 )
-from conftest import FS0, FS_C0, tiny_config
+from resilcfg.oracle import _enabled_actions, naive_apply_action
+from conftest import FS0, FS_C0, small_random_model, tiny_config
 
 
 def test_can_run_trivial(tiny_sys):
@@ -144,6 +148,33 @@ def test_move_rejects_non_migratable(tiny_sys):
     st = State(tiny_config(plan_members=None, plan_si="c0"), FS0)
     with pytest.raises(ActionRejected, match="migratable"):
         apply_action(st, Move(SwInst("PLAN", "c0"), "c1"), tiny_sys)
+
+
+def _outcome(apply, state, action, sys):
+    """The result configuration, or the clause of the rejection."""
+    try:
+        return apply(state, action, sys).cfg
+    except ActionRejected as exc:
+        return exc.clause
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_apply_action_agrees_with_the_full_check(seed, data):
+    """From a valid state, checking only what an action touches accepts,
+    rejects (with the same clause) and builds exactly what checking the
+    whole result does, for every action enabled in the state."""
+    sys, _, cfgs = small_random_model(random.Random(seed), max_valid=400)
+    hardware = sorted(sys.computers) + sorted(sys.devices)
+    for _ in range(4):
+        cfg = data.draw(st.sampled_from(cfgs))
+        fs = frozenset(crash(h) for h in data.draw(
+            st.sets(st.sampled_from(hardware))))
+        state = State(remove_dead(cfg, fs, sys), fs)
+        for action in _enabled_actions(state, sys):
+            assert (_outcome(apply_action, state, action, sys)
+                    == _outcome(naive_apply_action, state, action, sys)), \
+                action
 
 
 # -- witness derivation -----------------------------------------------------------

@@ -1,11 +1,14 @@
 """Resilience predicates, the solver, quality, and policies."""
 
+import dataclasses
 import pathlib
 import random
 
 import pytest
 
 from resilcfg import (
+    ChangeReps,
+    Computer,
     Config,
     FailBound,
     FailureModel,
@@ -14,8 +17,11 @@ from resilcfg import (
     Policy,
     Quality,
     ResilienceRequirement,
+    Software,
+    Start,
     SwInst,
     Synthesizer,
+    SystemModel,
     crash,
     derive_actions,
     fs_key,
@@ -374,3 +380,50 @@ def test_replay_rejects_a_root_whose_configuration_is_invalid():
         verify_policy(policy, sys, req)
     with pytest.raises(ReplayError, match="root configuration is not valid"):
         replay_schedule(policy, policy.roots[0][0], [{crash("c0")}], sys, req)
+
+
+def _tiny_with_spare_host():
+    """The tiny model plus ``c2``, on an OS the planner (now pinned to the
+    tiny OS) cannot run on, and ``BIG``, a startable component that fills a
+    computer on its own; its best policy and the root state."""
+    sys, req = fixtures.tiny()
+    c2 = Computer(id="c2", os="other", cpu_arch="arm", cores=4, ram=4096)
+    big = Software(id="BIG", fn="big", cores=3, ram=0, fast_starting=True,
+                   resumable=True)
+    plan = dataclasses.replace(sys.sw("PLAN"), os=sys.computer("c0").os)
+    hw = [*sys.computers.values(), c2, *sys.devices.values()]
+    sys = SystemModel(hw=hw, sw=[sys.sw("LOC"), plan, big],
+                      protocols=sys.protocols.values(), sync=True)
+    policy = solve_best_resilient(sys, req).policy
+    verify_policy(policy, sys, req)
+    root = policy.roots[0][1]
+    assert root == tiny_config()
+    return sys, req, policy, root
+
+
+def _with_actions(policy, root, failed, actions):
+    """``policy`` with the actions of the root's entry for the crash of
+    ``failed`` replaced."""
+    key = (root, (), fs_key({crash(failed)}))
+    entry = policy.entries[key]
+    policy.entries[key] = entry._replace(actions=actions)
+    return policy
+
+
+def test_replay_rejects_a_passive_member_the_software_cannot_run_on():
+    """The new primary can run the planner, so only the check of the whole
+    result sees that the added backup ``c2`` is incompatible."""
+    sys, req, policy, root = _tiny_with_spare_host()
+    _with_actions(policy, root, "c0", (
+        Start(SwInst("LOC", "c1")), ChangeReps("PLAN", ("c1", "c2"), "c1")))
+    with pytest.raises(ReplayError, match="resulting configuration invalid"):
+        verify_policy(policy, sys, req)
+
+
+def test_replay_rejects_a_start_that_overloads_its_host():
+    sys, req, policy, root = _tiny_with_spare_host()
+    entry = policy.entries[(root, (), fs_key({crash("c1")}))]
+    _with_actions(policy, root, "c1",
+                  (Start(SwInst("BIG", "c0")),) + entry.actions)
+    with pytest.raises(ReplayError, match="insufficient resources"):
+        verify_policy(policy, sys, req)
