@@ -14,7 +14,6 @@ from resilcfg import (
     apply_recovery,
     avail,
     avail_on,
-    crash,
     next_failed_sets,
     rep_inst,
     worst_next_failed_sets,
@@ -30,16 +29,15 @@ state = State(cfg)
 
 print("burst successors from the initial (empty) failed set:")
 for fs in next_failed_sets(req.fm, state.fs, sys):
-    print("  ", sorted(f.hw for f in fs))
+    print("  ", sorted(fs))
 print("worst-case ones:",
-      [sorted(f.hw for f in fs)
-       for fs in worst_next_failed_sets(req.fm, state.fs, sys)])
+      [sorted(fs) for fs in worst_next_failed_sets(req.fm, state.fs, sys)])
 print()
 
 print("initially: loc available:", avail({"loc"}, state.cfg, state.fs, sys),
       "| plan available:", avail({"plan"}, state.cfg, state.fs, sys))
 
-state = apply_failures(state, {crash("c0")}, sys)
+state = apply_failures(state, {"c0"}, sys)
 print("\nafter c0 crashes:")
 print("  configuration:", state.cfg)
 print("  loc available:", avail({"loc"}, state.cfg, state.fs, sys),
@@ -47,7 +45,7 @@ print("  loc available:", avail({"loc"}, state.cfg, state.fs, sys),
 print("  plan on c1:", avail_on("plan", "c1", state.cfg, state.fs, sys),
       "(progress quorum 'all' cannot be met with a dead member)")
 
-state = apply_recovery(state, crash("c0"))
+state = apply_recovery(state, "c0")
 print("\nafter c0 recovers (no reconfiguration yet):")
 print("  plan on c1:", avail_on("plan", "c1", state.cfg, state.fs, sys),
       "(replicas are live again, but the planner needs the locator,")

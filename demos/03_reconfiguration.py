@@ -13,7 +13,6 @@ from resilcfg import (
     apply_action,
     apply_failures,
     can_reconfigure,
-    crash,
     derive_actions,
     rep_inst,
 )
@@ -26,7 +25,7 @@ initial = Config.make(
     [rep_inst("PLAN", "primary-backup", ["c0", "c1"], primary="c0")],
 )
 
-state = apply_failures(State(initial), {crash("c0")}, sys)
+state = apply_failures(State(initial), {"c0"}, sys)
 print("state after the crash:", state.cfg)
 
 target = Config.make(

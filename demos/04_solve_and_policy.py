@@ -6,7 +6,7 @@ plus non-preferred Linux builds of planning and control that only the
 laptop can run.  One embedded computer may crash at a time.
 """
 
-from resilcfg import crash, verify_policy
+from resilcfg import verify_policy
 from resilcfg.fixtures import autonomous_driving_laptop
 from resilcfg.reconfig import describe_action
 from resilcfg.synthesis import Synthesizer
@@ -30,7 +30,7 @@ for sig, q, cfg in result.resilient:
 print()
 
 best_sig, best_q, best_cfg = result.resilient[0]
-entry = result.policy.entry(best_cfg, frozenset(), frozenset({crash("c0")}))
+entry = result.policy.entry(best_cfg, frozenset(), frozenset({"c0"}))
 print("policy for 'c0 crashes' in the best initial configuration:")
 for act in entry.actions:
     print("  ", describe_action(act))

@@ -28,13 +28,11 @@ from .model import (
 )
 from .failures import (
     FailBound,
-    Failure,
     FailureModel,
     State,
     apply_failures,
     apply_recovery,
     consistent,
-    crash,
     fs_key,
     is_unlimited_rate,
     next_failed_sets,

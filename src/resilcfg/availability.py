@@ -10,7 +10,7 @@ functionality dependency graph is validated acyclic at model construction.
 
 from __future__ import annotations
 
-from .model import CRASH, Config, Software, SystemModel, quorum_size
+from .model import Config, Software, SystemModel, quorum_size
 from .failures import FailedSet
 
 
@@ -23,9 +23,7 @@ def live(h: str, fs: FailedSet, sys: SystemModel) -> bool:
     of unfailed hardware leads along power references to internally powered
     hardware, searched with a stack: chains may outgrow the recursion limit.
     """
-    # A plain tuple equals and hashes as the ``Failure`` it spells, and
-    # skips the named tuple's constructor in one of the hottest calls.
-    if (h, CRASH) in fs:
+    if h in fs:
         return False
     power = sys.power_of(h)
     if not power:
@@ -33,7 +31,7 @@ def live(h: str, fs: FailedSet, sys: SystemModel) -> bool:
     seen, stack = {h}, list(power)
     while stack:
         p = stack.pop()
-        if p in seen or (p, CRASH) in fs:
+        if p in seen or p in fs:
             continue
         seen.add(p)
         power = sys.power_of(p)

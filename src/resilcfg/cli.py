@@ -124,7 +124,7 @@ def _cmd_replay(args) -> int:
     for sig, cfg in roots:
         final = replay_schedule(policy, sig, bursts, sys_model, req)
         print("root %s: ok, final failed set %s"
-              % (_short_config(cfg), [f.hw for f in fs_key(final.fs)]))
+              % (_short_config(cfg), list(fs_key(final.fs))))
     return EXIT_OK
 
 

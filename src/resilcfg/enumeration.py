@@ -42,7 +42,7 @@ from .model import (
     compatible,
     rep_inst,
 )
-from .failures import CRASH, EMPTY_FS, FailureModel
+from .failures import EMPTY_FS, FailureModel
 from .quotient import CanonicalSignature, relocatable_among
 from .reconfig import can_run
 
@@ -70,7 +70,7 @@ def critical_software(sys: SystemModel, crit_fns) -> frozenset:
 
 def max_simult_fail(fm: FailureModel) -> int:
     """Largest burst of computer crashes the failure model permits."""
-    bound = fm.bound_for(HW_COMPUTER, CRASH)
+    bound = fm.bound_for(HW_COMPUTER)
     if bound is None:
         return 0
     f = bound.n if bound.max_simult is None else min(bound.n, bound.max_simult)

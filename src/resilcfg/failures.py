@@ -1,11 +1,12 @@
 """Failure model: failed sets, burst successors, and failure/recovery steps.
 
-A failed set is the set of currently failed hardware components.  A failure
-model bounds how many components of each kind may be down at once (``n`` per
-bound) and how many may fail faster than the system can reconfigure
-(``max_simult``, per bound and globally).  A burst is one such simultaneous
-group of failures.  One enumerator lists the failed sets a burst reaches:
-every burst for ``next_failed_sets``, the largest ones for
+A failed set is the frozenset of the ids of the currently failed hardware
+components; ids are unique across computers and devices, and every failure
+is a crash.  A failure model bounds how many components of each kind may be
+down at once (``n`` per bound) and how many may fail faster than the system
+can reconfigure (``max_simult``, per bound and globally).  A burst is one
+such simultaneous group of failures.  One enumerator lists the failed sets a
+burst reaches: every burst for ``next_failed_sets``, the largest ones for
 ``worst_next_failed_sets``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .model import (
     CRASH,
@@ -25,16 +26,7 @@ from .model import (
 )
 
 
-class Failure(NamedTuple):
-    hw: str
-    ftype: str
-
-
-def crash(hw: str) -> Failure:
-    return Failure(hw, CRASH)
-
-
-FailedSet = frozenset  # of Failure
+FailedSet = frozenset  # of hardware ids
 
 EMPTY_FS: FailedSet = frozenset()
 
@@ -42,10 +34,6 @@ EMPTY_FS: FailedSet = frozenset()
 def fs_key(fs: FailedSet) -> tuple:
     """Canonical ordering of a failed set, usable as a dict key."""
     return tuple(sorted(fs))
-
-
-def failed_hw(fs: FailedSet) -> frozenset:
-    return frozenset(f.hw for f in fs)
 
 
 @dataclass(frozen=True)
@@ -60,8 +48,7 @@ class FailBound:
     def __post_init__(self):
         if self.hw_type not in (HW_COMPUTER, HW_DEVICE):
             raise ModelError("bad hardware type %r" % self.hw_type)
-        # Only crashes are modelled: liveness, ``remove_dead`` and
-        # ``HostLoss`` treat every failure as one.
+        # Only crashes are modelled: a failed set holds hardware ids alone.
         if self.f_type != CRASH:
             raise ModelError("bad failure type %r (only %r is modelled)"
                              % (self.f_type, CRASH))
@@ -78,15 +65,15 @@ class FailureModel:
 
     def __post_init__(self):
         object.__setattr__(self, "bounds", tuple(self.bounds))
-        keys = [(b.hw_type, b.f_type) for b in self.bounds]
+        keys = [b.hw_type for b in self.bounds]
         if len(keys) != len(set(keys)):
             raise ModelError("duplicate failure bounds")
         if self.max_simult is not None and self.max_simult < 0:
             raise ModelError("max_simult must be >= 0")
 
-    def bound_for(self, hw_type: str, f_type: str) -> Optional[FailBound]:
+    def bound_for(self, hw_type: str) -> Optional[FailBound]:
         for b in self.bounds:
-            if b.hw_type == hw_type and b.f_type == f_type:
+            if b.hw_type == hw_type:
                 return b
         return None
 
@@ -110,8 +97,8 @@ class State:
 def consistent(fs: FailedSet, fm: FailureModel, sys: SystemModel) -> bool:
     """Every failure matches a bound and no bound's count is exceeded."""
     counts = {}
-    for f in fs:
-        b = fm.bound_for(sys.hw_type(f.hw), f.ftype)
+    for h in fs:
+        b = fm.bound_for(sys.hw_type(h))
         if b is None:
             return False
         counts[b] = counts.get(b, 0) + 1
@@ -123,7 +110,7 @@ def _burst_slots(fm: FailureModel, fs: FailedSet, sys: SystemModel):
 
     Returns a list of (candidates, cap) with candidates sorted for
     deterministic enumeration.  Hardware matches at most one bound since
-    bounds are unique per (hw_type, f_type).
+    bounds are unique per hardware type.
     """
     slots = []
     for b in fm.bounds:
@@ -131,14 +118,13 @@ def _burst_slots(fm: FailureModel, fs: FailedSet, sys: SystemModel):
             pool = sys.computer_ids
         else:
             pool = tuple(sys.devices)
-        used = sum(1 for f in fs
-                   if f.ftype == b.f_type and sys.hw_type(f.hw) == b.hw_type)
-        cands = tuple(h for h in pool if Failure(h, b.f_type) not in fs)
+        used = sum(1 for h in fs if sys.hw_type(h) == b.hw_type)
+        cands = tuple(h for h in pool if h not in fs)
         cap = min(b.n - used, len(cands))
         if b.max_simult is not None:
             cap = min(cap, b.max_simult)
         if cap > 0:
-            slots.append((b.f_type, cands, cap))
+            slots.append((cands, cap))
     return slots
 
 
@@ -164,7 +150,7 @@ def _next_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel,
     if not consistent(fs, fm, sys):
         raise ModelError("failed set inconsistent with failure model")
     slots = _burst_slots(fm, fs, sys)
-    total = sum(cap for _, _, cap in slots)
+    total = sum(cap for _, cap in slots)
     if fm.max_simult is not None:
         total = min(total, fm.max_simult)
     out = []
@@ -185,7 +171,7 @@ def _size_vectors(slots, lo_total, hi_total):
             if sum(acc) >= lo_total:
                 yield tuple(acc)
             return
-        _, _, cap = slots[i]
+        _, cap = slots[i]
         for t in range(0, min(cap, left) + 1):
             yield from rec(i + 1, left - t, acc + [t])
 
@@ -194,8 +180,8 @@ def _size_vectors(slots, lo_total, hi_total):
 
 def _bursts_of(slots, sizes):
     per_slot = []
-    for (ftype, cands, _), t in zip(slots, sizes):
-        per_slot.append([frozenset(Failure(h, ftype) for h in combo)
+    for (cands, _), t in zip(slots, sizes):
+        per_slot.append([frozenset(combo)
                          for combo in itertools.combinations(cands, t)])
     for parts in itertools.product(*per_slot):
         yield frozenset().union(*parts)
@@ -209,16 +195,15 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     member is unfailed (membership is not touched here -- that is a
     reconfiguration action).
     """
-    dead = failed_hw(fs)
-    if not dead:
+    if not fs:
         return cfg
 
     def survives(sw_id):
         return sys.sw(sw_id).survives_host_loss
 
-    si = tuple(s for s in cfg.si if s.computer not in dead or survives(s.sw))
+    si = tuple(s for s in cfg.si if s.computer not in fs or survives(s.sw))
     rsi = tuple(r for r in cfg.rsi
-                if not set(r.computers) <= dead or survives(r.sw))
+                if not fs.issuperset(r.computers) or survives(r.sw))
     if len(si) == len(cfg.si) and len(rsi) == len(cfg.rsi):
         return cfg
     # Filtered canonical tuples stay canonical.
@@ -246,8 +231,8 @@ class HostLoss:
         """Bits of the failed computers of ``fs``."""
         bits = self.bits
         mask = 0
-        for f in fs:
-            mask |= bits.get(f.hw, 0)
+        for h in fs:
+            mask |= bits.get(h, 0)
         return mask
 
     def keeps(self, cfg: Config, dead: int) -> bool:
@@ -263,7 +248,7 @@ class HostLoss:
         return True
 
 
-def apply_failures(state: State, burst: Iterable[Failure], sys: SystemModel) -> State:
+def apply_failures(state: State, burst: Iterable[str], sys: SystemModel) -> State:
     """Failure transition: fail a burst, then drop dead instances."""
     burst = frozenset(burst)
     if burst & state.fs:
@@ -272,8 +257,8 @@ def apply_failures(state: State, burst: Iterable[Failure], sys: SystemModel) -> 
     return State(remove_dead(state.cfg, fs2, sys), fs2)
 
 
-def apply_recovery(state: State, f: Failure) -> State:
+def apply_recovery(state: State, h: str) -> State:
     """Recovery transition: the configuration is left untouched."""
-    if f not in state.fs:
+    if h not in state.fs:
         raise ModelError("recovery of a hardware component that is not failed")
-    return State(state.cfg, state.fs - {f})
+    return State(state.cfg, state.fs - {h})

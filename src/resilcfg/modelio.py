@@ -50,8 +50,8 @@ from .model import (
     SystemModel,
     rep_inst,
 )
-from .failures import (EMPTY_FS, FailBound, FailureModel, Failure,
-                       consistent, fs_key)
+from .failures import (EMPTY_FS, FailBound, FailureModel, consistent,
+                       fs_key)
 from .enumeration import ResilienceRequirement
 from .quotient import CanonicalSignature
 from .reconfig import ChangeReps, Move, Start, Stop, StopRep
@@ -486,7 +486,7 @@ def policy_to_dict(policy: Policy) -> dict:
         raise ModelError("policy has no model fingerprint")
     sig, sigs = _table(signature_to_obj)
     cfg, cfgs = _table(config_to_obj)
-    fs, fss = _table(lambda key: [list(f) for f in key])
+    fs, fss = _table(lambda key: [[h, CRASH] for h in key])
     act, acts = _table(action_to_obj)
     roots = [[sig(s), cfg(c)] for s, c in policy.roots]
     # Many entries share a state configuration: key each one once.
@@ -526,13 +526,18 @@ def _at(table: list, i, name: str):
 
 
 def _failed_set(i: int, obj) -> tuple:
-    """Entry ``i`` of the ``failedSets`` table: [hardware id, failure type]
+    """Entry ``i`` of the ``failedSets`` table: [hardware id, "crash"]
     pairs, as an ``fs_key``."""
     if type(obj) is not list:
         raise ModelLoadError("policy: entry %d of 'failedSets' has type %s, "
                              "expected a list" % (i, type(obj).__name__))
     rows = _shaped(obj, (_STR, _STR), "policy", "failedSets %d" % i)
-    return fs_key(frozenset(Failure(*row) for row in rows))
+    for hw, ftype in rows:
+        if ftype != CRASH:
+            raise ModelLoadError("policy: entry %d of 'failedSets' gives %r "
+                                 "the failure type %r, but only %r is "
+                                 "modelled" % (i, hw, ftype, CRASH))
+    return fs_key(frozenset(hw for hw, _ in rows))
 
 
 def policy_from_dict(raw: dict) -> Policy:
@@ -600,7 +605,7 @@ def load_schedule(path, sys: SystemModel,
                                              or hw in sys.devices)):
                 raise ModelLoadError("%s: burst %d names unknown hardware %r"
                                      % (path, i, hw))
-        burst = frozenset(Failure(hw, CRASH) for hw in ids)
+        burst = frozenset(ids)
         if not burst:
             raise ModelLoadError("%s: burst %d is empty" % (path, i))
         if burst & fs:
@@ -610,7 +615,7 @@ def load_schedule(path, sys: SystemModel,
         if not consistent(fs, req.fm, sys):
             raise ModelLoadError(
                 "%s: after burst %d the failed hardware %s exceeds the "
-                "failure model" % (path, i, sorted(f.hw for f in fs)))
+                "failure model" % (path, i, sorted(fs)))
         bursts.append(burst)
     return bursts
 

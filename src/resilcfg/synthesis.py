@@ -598,10 +598,8 @@ def _replay_step(policy: Policy, state: State, burst: FailedSet,
 
 
 def _where(burst: FailedSet, fs: FailedSet) -> str:
-    def names(failures):
-        return [f.hw for f in fs_key(failures)]
-
-    return "burst %s at failed set %s" % (names(burst), names(fs))
+    return "burst %s at failed set %s" % (list(fs_key(burst)),
+                                          list(fs_key(fs)))
 
 
 def worst_burst_schedules(req: ResilienceRequirement, sys: SystemModel,
@@ -628,10 +626,9 @@ def verify_policy(policy: Policy, sys: SystemModel,
     gap raised is the one a per-schedule ``replay_schedule`` loop raises
     first.  A state reached again, from this root or an earlier one, is
     not walked again, and the bursts of each failed set are computed once.
+    Every root is checked, even when the failure model allows no burst.
     """
-    bursts = {EMPTY_FS: worst_next_failed_sets(req.fm, EMPTY_FS, sys)}
-    if not bursts[EMPTY_FS]:
-        return 0  # no schedule, so not even a root is replayed
+    bursts = {}
     memo = {}  # state -> schedules below it
     n = 0
     for sig, _ in policy.roots:

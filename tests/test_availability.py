@@ -12,7 +12,6 @@ from resilcfg import (
     avail,
     avail_dev,
     avail_on,
-    crash,
     live,
     quorum_size,
     solve_best_resilient,
@@ -81,14 +80,14 @@ def test_live_power_chain():
     sys = SystemModel(hw=[comp, ups], sw=[], protocols=[], sync=True)
     assert live("c0", FS0, sys)
     # The sole power source is a single point of failure.
-    assert not live("c0", frozenset({crash("ups")}), sys)
+    assert not live("c0", frozenset({"ups"}), sys)
 
 
 def _reference_live(h, fs, sys):
     """The recursive definition: unfailed, and internally powered or with
     a live power source."""
     power = sys.power_of(h)
-    return crash(h) not in fs and (
+    return h not in fs and (
         not power or any(_reference_live(p, fs, sys) for p in power))
 
 
@@ -101,7 +100,7 @@ def test_live_with_shared_and_alternative_power_sources():
                                      if rng.random() < 0.3))
               for i, h in enumerate(ids)]
         sys = SystemModel(hw=hw, sw=[], protocols=[], sync=True)
-        fs = frozenset(crash(h) for h in ids if rng.random() < 0.3)
+        fs = frozenset(h for h in ids if rng.random() < 0.3)
         for h in ids:
             assert live(h, fs, sys) == _reference_live(h, fs, sys)
 
@@ -109,8 +108,8 @@ def test_live_with_shared_and_alternative_power_sources():
 def test_live_along_a_power_chain_longer_than_the_recursion_limit():
     sys, req = model_from_dict(power_chain_model(3000))
     assert live("c0", FS0, sys)
-    assert not live("c0", frozenset({crash("p2999")}), sys)
-    assert not live("c0", frozenset({crash("p1500")}), sys)
+    assert not live("c0", frozenset({"p2999"}), sys)
+    assert not live("c0", frozenset({"p1500"}), sys)
     # The solve reads liveness through the whole chain, and a chain of
     # devices no failure model fails powers c0 as a single device does.
     short = model_from_dict(power_chain_model(1))
@@ -125,7 +124,7 @@ def test_avail_dev_integrated():
     comp = Computer(id="c0", os="osA", cpu_arch="x86", cores=2, ram=64,
                     devices=frozenset({"gps"}))
     sys = SystemModel(hw=[comp], sw=[], protocols=[], sync=True)
-    assert avail_dev("gps", "c0", frozenset({crash("c0")}), sys)
+    assert avail_dev("gps", "c0", frozenset({"c0"}), sys)
 
 
 def test_avail_dev_standalone(tiny_sys):
@@ -133,7 +132,7 @@ def test_avail_dev_standalone(tiny_sys):
 
 
 def test_avail_dev_standalone_dead(tiny_sys):
-    assert not avail_dev("gps", "c0", frozenset({crash("g0")}), tiny_sys)
+    assert not avail_dev("gps", "c0", frozenset({"g0"}), tiny_sys)
 
 
 # -- functionality availability -------------------------------------------------
@@ -204,8 +203,7 @@ def test_avail_on_matches_brute_force_on_random_models():
         sys, req, cfgs = small_random_model(rng, max_computers=2)
         cfgs = list(cfgs)
         rng.shuffle(cfgs)
-        failures = [crash(h) for h in list(sys.computers)
-                    + list(sys.devices)]
+        failures = list(sys.computers) + list(sys.devices)
         for cfg in cfgs[:6]:
             for _ in range(4):
                 fs = frozenset(f for f in failures if rng.random() < 0.3)
@@ -232,7 +230,7 @@ def test_passive_quorum_does_not_require_live_primary():
                         progress_q="majority", reconfig_q="majority")
     sys = SystemModel(hw=comps, sw=[sw], protocols=[proto], sync=True)
     cfg = Config.make([], [rep_inst("s", "maj", ["c0", "c1", "c2"], "c0")])
-    fs = frozenset({crash("c0")})
+    fs = frozenset({"c0"})
     assert avail_on("f", "c1", cfg, fs, sys)
 
 

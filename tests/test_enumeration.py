@@ -17,7 +17,7 @@ from resilcfg import (
 from resilcfg.oracle import all_valid_configs
 from resilcfg.synthesis import Synthesizer
 from resilcfg import fixtures
-from conftest import random_model, small_random_model
+from conftest import small_random_model
 
 
 def test_critical_software_unique_providers(tiny_sys, tiny_req):

@@ -19,7 +19,6 @@ from resilcfg import (
     apply_failures,
     apply_recovery,
     consistent,
-    crash,
     is_unlimited_rate,
     next_failed_sets,
     remove_dead,
@@ -47,8 +46,8 @@ def _fm(n, max_simult=None, global_cap=None, device_n=None):
 
 
 def brute_next_failed_sets(fm, fs, sys):
-    candidates = [crash(h) for h in list(sys.computers) + list(sys.devices)
-                  if crash(h) not in fs]
+    candidates = [h for h in list(sys.computers) + list(sys.devices)
+                  if h not in fs]
     out = []
     for size in range(1, len(candidates) + 1):
         for burst in itertools.combinations(candidates, size):
@@ -62,9 +61,7 @@ def brute_next_failed_sets(fm, fs, sys):
             for b in fm.bounds:
                 if b.max_simult is None:
                     continue
-                hit = sum(1 for f in burst
-                          if sys.hw_type(f.hw) == b.hw_type
-                          and f.ftype == b.f_type)
+                hit = sum(1 for h in burst if sys.hw_type(h) == b.hw_type)
                 if hit > b.max_simult:
                     ok = False
             if ok:
@@ -85,13 +82,13 @@ def test_consistent_empty(tiny_sys, tiny_req):
 
 
 def test_consistent_over_budget(tiny_sys, tiny_req):
-    fs = frozenset({crash("c0"), crash("c1")})
+    fs = frozenset({"c0", "c1"})
     assert not consistent(fs, tiny_req.fm, tiny_sys)
 
 
 def test_consistent_unmatched_type(tiny_sys, tiny_req):
     # No Device bound exists, so a device failure is inconsistent.
-    assert not consistent(frozenset({crash("g0")}), tiny_req.fm, tiny_sys)
+    assert not consistent(frozenset({"g0"}), tiny_req.fm, tiny_sys)
 
 
 # -- burst successors -----------------------------------------------------------
@@ -100,14 +97,14 @@ def test_consistent_unmatched_type(tiny_sys, tiny_req):
 def test_next_singletons():
     sys = _sys(2)
     nxt = next_failed_sets(_fm(1, max_simult=1), FS0, sys)
-    assert nxt == [frozenset({crash("c0")}), frozenset({crash("c1")})]
+    assert nxt == [frozenset({"c0"}), frozenset({"c1"})]
 
 
 def test_next_on_maximal_set_is_empty():
     sys = _sys(2)
     fm = _fm(1, max_simult=1)
-    assert next_failed_sets(fm, frozenset({crash("c0")}), sys) == []
-    assert worst_next_failed_sets(fm, frozenset({crash("c0")}), sys) == []
+    assert next_failed_sets(fm, frozenset({"c0"}), sys) == []
+    assert worst_next_failed_sets(fm, frozenset({"c0"}), sys) == []
 
 
 def test_next_pairs_and_singletons():
@@ -121,9 +118,9 @@ def test_next_pairs_and_singletons():
 def test_next_rejects_inconsistent_input():
     sys = _sys(1)
     with pytest.raises(ModelError):
-        next_failed_sets(_fm(0), frozenset({crash("c0")}), sys)
+        next_failed_sets(_fm(0), frozenset({"c0"}), sys)
     with pytest.raises(ModelError):
-        worst_next_failed_sets(_fm(0), frozenset({crash("c0")}), sys)
+        worst_next_failed_sets(_fm(0), frozenset({"c0"}), sys)
 
 
 def test_worst_equals_filtered_next_on_random_models():
@@ -183,7 +180,7 @@ def test_remove_dead_keeps_durable_instance():
                                    cores=4, ram=64)],
                       sw=[durable], protocols=[], sync=True)
     cfg = Config.make([SwInst("d", "c0")])
-    assert remove_dead(cfg, frozenset({crash("c0")}), sys) == cfg
+    assert remove_dead(cfg, frozenset({"c0"}), sys) == cfg
 
 
 def test_remove_dead_idempotent_on_random_models():
@@ -195,8 +192,7 @@ def test_remove_dead_idempotent_on_random_models():
         if not cfgs:
             continue
         cfg = rng.choice(cfgs)
-        fs = frozenset(crash(c) for c in sys.computers
-                       if rng.random() < 0.4)
+        fs = frozenset(c for c in sys.computers if rng.random() < 0.4)
         once = remove_dead(cfg, fs, sys)
         assert remove_dead(once, fs, sys) == once
 
@@ -211,36 +207,36 @@ def test_apply_failures_empty_burst(tiny_sys):
 
 def test_apply_failures_removes_dead(tiny_sys):
     st = State(tiny_config(plan_members=None), FS0)
-    out = apply_failures(st, {crash("c0")}, tiny_sys)
+    out = apply_failures(st, {"c0"}, tiny_sys)
     assert out.cfg == Config() and out.fs == FS_C0
 
 
 def test_apply_failures_device_only(tiny_sys):
     st = State(tiny_config(), FS0)
-    out = apply_failures(st, {crash("g0")}, tiny_sys)
-    assert out.cfg == st.cfg and out.fs == frozenset({crash("g0")})
+    out = apply_failures(st, {"g0"}, tiny_sys)
+    assert out.cfg == st.cfg and out.fs == frozenset({"g0"})
 
 
 def test_apply_failures_rejects_overlap(tiny_sys):
     st = State(tiny_config(), FS_C0)
     with pytest.raises(ModelError):
-        apply_failures(st, {crash("c0")}, tiny_sys)
+        apply_failures(st, {"c0"}, tiny_sys)
 
 
 def test_apply_failures_result_is_fixed_point(tiny_sys):
     st = State(tiny_config(), FS0)
-    out = apply_failures(st, {crash("c0")}, tiny_sys)
+    out = apply_failures(st, {"c0"}, tiny_sys)
     assert remove_dead(out.cfg, out.fs, tiny_sys) == out.cfg
 
 
 def test_apply_recovery(tiny_sys):
-    st = State(tiny_config(), FS_C0 | frozenset({crash("c1")}))
-    out = apply_recovery(st, crash("c0"))
-    assert out.fs == frozenset({crash("c1")}) and out.cfg == st.cfg
-    out2 = apply_recovery(out, crash("c1"))
+    st = State(tiny_config(), FS_C0 | frozenset({"c1"}))
+    out = apply_recovery(st, "c0")
+    assert out.fs == frozenset({"c1"}) and out.cfg == st.cfg
+    out2 = apply_recovery(out, "c1")
     assert out2.fs == FS0
 
 
 def test_apply_recovery_rejects_unfailed(tiny_sys):
     with pytest.raises(ModelError):
-        apply_recovery(State(tiny_config(), FS0), crash("c0"))
+        apply_recovery(State(tiny_config(), FS0), "c0")

@@ -482,6 +482,13 @@ def _with_bare_stop(raw):
     return raw
 
 
+def _with_omission(raw):
+    """The first crash of the failed-set table, spelled as an omission."""
+    row = next(fs for fs in raw["failedSets"] if fs)[0]
+    row[1] = "omission"
+    return raw
+
+
 @pytest.mark.parametrize("broken, message", [
     (lambda raw: dict(raw, roots=[[0]]),
      "entry 0 of 'roots' has 1 entries, expected a list of 2"),
@@ -490,8 +497,10 @@ def _with_bare_stop(raw):
     (_with_short_fixed_si,
      "entry 0 of 'fixedSI' has 1 entries, expected a list of 2"),
     (_with_bare_stop, "action: missing field 'sw'"),
+    (_with_omission, "gives 'c0' the failure type 'omission', but only "
+                     "'crash' is modelled"),
 ], ids=["root-without-signature", "root-not-an-object", "short-fixedSI-entry",
-        "stop-without-sw"])
+        "stop-without-sw", "failure-type-omission"])
 def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
                                                        broken, message):
     pol = _tiny_policy(tmp_path)
@@ -615,3 +624,30 @@ def test_cli_replay_of_an_invalid_root_fails(tmp_path, capsys):
                  "--policy", str(pol), "--exhaustive"]) == 1
     err = capsys.readouterr().err
     assert err == "replay failed: the root configuration is not valid\n"
+
+
+def test_cli_replay_checks_the_roots_when_no_burst_is_possible(tmp_path,
+                                                              capsys):
+    """A failure model that allows no burst leaves no schedule to replay,
+    but every root is still checked."""
+    raw = _tiny_raw()
+    raw["failureModel"] = {"bounds": [{"hwType": "Computer", "fType": "crash",
+                                       "n": 0, "maxSimult": 0}],
+                           "maxSimult": 0}
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(raw))
+    pol = tmp_path / "policy.json"
+    assert main(["solve", "--model", str(model), "--policy-out",
+                 str(pol)]) == 0
+    replay = ["replay", "--model", str(model), "--policy", str(pol),
+              "--exhaustive"]
+    capsys.readouterr()
+    assert main(replay) == 0
+    assert capsys.readouterr().out.startswith(
+        "ok: 0 worst-case schedules replayed across")
+    broken = json.loads(pol.read_text())
+    broken["configs"][broken["roots"][0][1]] = {"si": [], "rsi": []}
+    pol.write_text(json.dumps(broken))
+    assert main(replay) == 1
+    assert capsys.readouterr().err == ("replay failed: critical functionality "
+                                       "unavailable at the root\n")

@@ -8,7 +8,6 @@ from resilcfg import (
     generate_all_configs,
     remove_dead,
     can_reconfigure,
-    crash,
 )
 from resilcfg.oracle import (
     GuardExceeded,
@@ -108,7 +107,7 @@ def test_relation_matches_reachability_on_random_models():
         universe = generate_all_configs(sys, req)
         if not 2 <= len(universe) <= 40:
             continue
-        fs_options = [FS0] + [frozenset({crash(c)}) for c in sys.computers]
+        fs_options = [FS0] + [frozenset({c}) for c in sys.computers]
         for fs in fs_options:
             sources = [c for c in universe
                        if remove_dead(c, fs, sys) == c]
@@ -135,7 +134,7 @@ def test_witnessed_relation_is_sound_for_reachability():
         universe = generate_all_configs(sys, req)
         if not 2 <= len(universe) <= 30:
             continue
-        fs_options = [FS0] + [frozenset({crash(c)}) for c in sys.computers]
+        fs_options = [FS0] + [frozenset({c}) for c in sys.computers]
         for fs in fs_options:
             sources = [c for c in universe
                        if remove_dead(c, fs, sys) == c]

@@ -6,7 +6,6 @@ import random
 from resilcfg import (
     avail,
     consistent,
-    crash,
     generate_all_configs,
     partition_by_class,
     partition_members,
@@ -139,7 +138,7 @@ def test_equivalent_states_offer_equal_functionality():
         cfgs = generate_all_configs(sys, req)
         groups = [g for g in partition_members(cfgs, sys).values()
                   if len(g) > 1]
-        fails = [crash(h) for h in list(sys.computers) + list(sys.devices)]
+        fails = list(sys.computers) + list(sys.devices)
         fss = [frozenset(c) for size in range(0, 3)
                for c in itertools.combinations(fails, size)]
         fns = {s.fn for s in sys.software.values()}

@@ -8,21 +8,25 @@ from hypothesis import given, settings, strategies as st
 from resilcfg import (
     ActionRejected,
     ChangeReps,
+    Computer,
     Config,
     Move,
     NoWitnessError,
+    RepProtocol,
+    Software,
     Start,
     State,
     Stop,
     StopRep,
     SwInst,
+    SystemModel,
     apply_action,
     can_reconfigure,
     can_run,
-    crash,
     derive_actions,
     remove_dead,
     rep_inst,
+    valid_config,
 )
 from resilcfg.oracle import _enabled_actions, naive_apply_action
 from conftest import FS0, FS_C0, small_random_model, tiny_config
@@ -77,8 +81,8 @@ def test_relation_rejects_dead_primary(tiny_sys):
     target = tiny_config(plan_primary="c1")
     assert can_reconfigure(cfg, target, FS0, tiny_sys)
     # With c1 crashed, the primary cannot be handed to it.
-    src = remove_dead(cfg, frozenset({crash("c1")}), tiny_sys)
-    assert not can_reconfigure(src, target, frozenset({crash("c1")}),
+    src = remove_dead(cfg, frozenset({"c1"}), tiny_sys)
+    assert not can_reconfigure(src, target, frozenset({"c1"}),
                                tiny_sys)
 
 
@@ -168,13 +172,53 @@ def test_apply_action_agrees_with_the_full_check(seed, data):
     hardware = sorted(sys.computers) + sorted(sys.devices)
     for _ in range(4):
         cfg = data.draw(st.sampled_from(cfgs))
-        fs = frozenset(crash(h) for h in data.draw(
-            st.sets(st.sampled_from(hardware))))
+        fs = frozenset(data.draw(st.sets(st.sampled_from(hardware))))
         state = State(remove_dead(cfg, fs, sys), fs)
         for action in _enabled_actions(state, sys):
             assert (_outcome(apply_action, state, action, sys)
                     == _outcome(naive_apply_action, state, action, sys)), \
                 action
+
+
+def _with_incompatible_passive_member(sys):
+    """``sys`` plus a passive protocol, a component ``sp`` that it may
+    replicate and that may gain members, a computer ``cp`` that can run
+    ``sp`` and a computer ``cq`` whose OS ``sp`` does not run on."""
+    passive = RepProtocol(id="passive", sync=False, active=False,
+                          progress_q="all", reconfig_q="one")
+    sp = Software(id="sp", fn="fp", os="osA", fast_starting=True)
+    assert sp.stateful and sp.members_addable
+    extra = [Computer(id=c, os=os, cpu_arch="x86", cores=2, ram=1024)
+             for c, os in (("cp", "osA"), ("cq", "osQ"))]
+    return SystemModel(
+        hw=list(sys.computers.values()) + list(sys.devices.values()) + extra,
+        sw=list(sys.software.values()) + [sp],
+        protocols=list(sys.protocols.values()) + [passive], sync=sys.sync)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_apply_action_agrees_with_the_full_check_on_an_incompatible_member(
+        seed, data):
+    """Adding an incompatible member to a passive replicated instance is
+    rejected as an invalid result, by checking only what the action
+    touches as by checking the whole result."""
+    base, _, cfgs = small_random_model(random.Random(seed), max_valid=400)
+    sys = _with_incompatible_passive_member(base)
+    cfg = data.draw(st.sampled_from(cfgs))
+    cfg = Config.make(cfg.si, cfg.rsi + (rep_inst("sp", "passive", ["cp"],
+                                                  "cp"),))
+    assert valid_config(cfg, sys)
+    fs = frozenset(data.draw(st.sets(st.sampled_from(
+        sorted(base.computers) + sorted(base.devices)))))
+    state = State(remove_dead(cfg, fs, sys), fs)
+    clauses = set()
+    for action in _enabled_actions(state, sys):
+        outcome = _outcome(apply_action, state, action, sys)
+        assert outcome == _outcome(naive_apply_action, state, action, sys), \
+            action
+        clauses.add(outcome)
+    assert "resulting configuration invalid" in clauses
 
 
 # -- witness derivation -----------------------------------------------------------
@@ -225,8 +269,6 @@ def test_derive_orders_dependency_before_membership_change(tiny_sys):
 def test_move_accounting_one_donor_per_move():
     """A single removed instance cannot justify two moved-in instances, and
     a donor on a dead computer cannot donate at all."""
-    from resilcfg import Computer, Software, SystemModel
-
     comps = [Computer(id="c%d" % i, os="osA", cpu_arch="x86", cores=4,
                       ram=64) for i in range(3)]
     # Movable but not startable fresh (slow-starting).
@@ -249,7 +291,7 @@ def test_move_accounting_one_donor_per_move():
                        single_instance=True, small_persis_state=True)
     sys2 = SystemModel(hw=comps, sw=[durable], protocols=[], sync=True)
     src = Config.make([SwInst("d", "c0")])
-    fs = frozenset({crash("c0")})
+    fs = frozenset({"c0"})
     assert remove_dead(src, fs, sys2) == src  # survives in place
     tgt = Config.make([SwInst("d", "c1")])
     assert not can_reconfigure(src, tgt, fs, sys2)
@@ -295,7 +337,7 @@ def test_replica_swap_without_spare_slot_has_no_witness():
         crit_fns=frozenset({"f0", "f1"}))
     syn = Synthesizer(sys, req)
     syn.build()
-    fs = frozenset({crash("c0")})
+    fs = frozenset({"c0"})
     found = syn._find_successor(src, fs, recursive=False)
     if found is not None:
         node, actions = found
@@ -340,7 +382,7 @@ def test_derived_sequences_stay_valid_on_random_models():
         sys, req, _ = small_random_model(rng, max_computers=2,
                                          max_software=2, max_valid=200)
         universe = generate_all_configs(sys, req)
-        fs_opts = [frozenset()] + [frozenset({crash(c)})
+        fs_opts = [frozenset()] + [frozenset({c})
                                    for c in sys.computers]
         for fs in fs_opts:
             sources = [c for c in universe if remove_dead(c, fs, sys) == c]

@@ -22,7 +22,6 @@ from resilcfg import (
     SwInst,
     Synthesizer,
     SystemModel,
-    crash,
     derive_actions,
     fs_key,
     load_model,
@@ -40,7 +39,6 @@ from resilcfg import (
     worst_burst_schedules,
 )
 from resilcfg import fixtures
-from resilcfg.failures import failed_hw
 from resilcfg.synthesis import PolicyEntry, ReplayError
 from conftest import FS0, over_budget_root, random_model, tiny_config
 
@@ -118,7 +116,7 @@ def test_policy_has_entries_for_both_bursts(tiny_sys, tiny_req):
     res = solve_best_resilient(tiny_sys, tiny_req)
     (sig, root) = res.policy.roots[0]
     for c in ("c0", "c1"):
-        entry = res.policy.entry(root, FS0, frozenset({crash(c)}))
+        entry = res.policy.entry(root, FS0, frozenset({c}))
         assert entry is not None
         assert entry.actions  # a real reconfiguration is needed
     assert verify_policy(res.policy, tiny_sys, tiny_req) == 2
@@ -139,7 +137,7 @@ def test_policy_replay_detects_missing_entry(tiny_sys, tiny_req):
     sig, _ = res.policy.roots[0]
     with pytest.raises(ReplayError):
         replay_schedule(res.policy, sig,
-                        [frozenset({crash("c0")}), frozenset({crash("c1")})],
+                        [frozenset({"c0"}), frozenset({"c1"})],
                         tiny_sys, tiny_req)
 
 
@@ -205,7 +203,7 @@ def test_state_config_is_the_first_member_without_dead_instances():
         sys, req = random_model(rng)
         failed_sets = _reachable_failed_sets(req, sys)
         for fs in failed_sets:
-            if fs and not failed_hw(fs) & set(sys.computers):
+            if fs and not fs & set(sys.computers):
                 seen["device only"] += 1
         for quotient in ("off", "partial", "full"):
             syn = Synthesizer(sys, req, quotient=quotient)
@@ -216,7 +214,6 @@ def test_state_config_is_the_first_member_without_dead_instances():
             else:
                 nodes = [(cfg, [cfg]) for cfg in syn.all_cfgs]
             for fs in failed_sets:
-                dead = failed_hw(fs)
                 for node, members in nodes:
                     expected = next((m for m in members
                                      if remove_dead(m, fs, sys) == m), None)
@@ -227,7 +224,7 @@ def test_state_config_is_the_first_member_without_dead_instances():
                         continue
                     for m in members:
                         for r in m.rsi:
-                            if set(r.computers) <= dead:
+                            if set(r.computers) <= fs:
                                 kept = sys.sw(r.sw).survives_host_loss
                                 seen["replicas lost, survives" if kept
                                      else "replicas lost, dropped"] += 1
@@ -344,7 +341,7 @@ def test_verify_policy_tells_apart_states_of_one_class():
     sys, req = _stepwise(fixtures.autonomous_driving_phone, 3)
     syn = Synthesizer(sys, req)
     policy = syn.solve().policy
-    burst = frozenset({crash("c2")})
+    burst = frozenset({"c2"})
     sig, cfg = policy.roots[-1]
     key = (cfg, (), fs_key(burst))
     entry = policy.entries[key]
@@ -379,7 +376,7 @@ def test_replay_rejects_a_root_whose_configuration_is_invalid():
     with pytest.raises(ReplayError, match="root configuration is not valid"):
         verify_policy(policy, sys, req)
     with pytest.raises(ReplayError, match="root configuration is not valid"):
-        replay_schedule(policy, policy.roots[0][0], [{crash("c0")}], sys, req)
+        replay_schedule(policy, policy.roots[0][0], [{"c0"}], sys, req)
 
 
 def _tiny_with_spare_host():
@@ -404,7 +401,7 @@ def _tiny_with_spare_host():
 def _with_actions(policy, root, failed, actions):
     """``policy`` with the actions of the root's entry for the crash of
     ``failed`` replaced."""
-    key = (root, (), fs_key({crash(failed)}))
+    key = (root, (), fs_key({failed}))
     entry = policy.entries[key]
     policy.entries[key] = entry._replace(actions=actions)
     return policy
@@ -422,7 +419,7 @@ def test_replay_rejects_a_passive_member_the_software_cannot_run_on():
 
 def test_replay_rejects_a_start_that_overloads_its_host():
     sys, req, policy, root = _tiny_with_spare_host()
-    entry = policy.entries[(root, (), fs_key({crash("c1")}))]
+    entry = policy.entries[(root, (), fs_key({"c1"}))]
     _with_actions(policy, root, "c1",
                   (Start(SwInst("BIG", "c0")),) + entry.actions)
     with pytest.raises(ReplayError, match="insufficient resources"):

@@ -1,12 +1,15 @@
-"""Lint: every name a module of the package imports is used in it."""
+"""Lint: every name a module of the package, a test or a demo imports is
+used in it."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "resilcfg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "resilcfg"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py")))
 
 
 def _unused_imports(path: pathlib.Path) -> list:
