@@ -30,7 +30,7 @@ for sig, q, cfg in result.resilient:
 print()
 
 best_sig, best_q, best_cfg = result.resilient[0]
-entry = result.policy.entry(best_cfg, frozenset(), frozenset({"c0"}))
+entry = result.policy.entries[(best_cfg, frozenset(), frozenset({"c0"}))]
 print("policy for 'c0 crashes' in the best initial configuration:")
 for act in entry.actions:
     print("  ", describe_action(act))

@@ -74,12 +74,8 @@ from .synthesis import (
     ReplayError,
     SolveResult,
     Synthesizer,
-    one_resilient,
     quality,
     replay_schedule,
-    resilient,
-    solve_best_resilient,
-    solve_resilient,
     verify_policy,
     worst_burst_schedules,
 )

@@ -41,15 +41,17 @@ def live(h: str, fs: FailedSet, sys: SystemModel) -> bool:
     return False
 
 
-def avail_dev(device_type: str, c, fs: FailedSet, sys: SystemModel) -> bool:
-    """Device availability on a computer: integrated or live stand-alone."""
-    comp = sys.computer(c) if isinstance(c, str) else c
-    if device_type in comp.devices:
+def avail_dev(device_type: str, c: str, fs: FailedSet,
+              sys: SystemModel) -> bool:
+    """Device availability on computer ``c``: integrated or live
+    stand-alone."""
+    if device_type in sys.computer(c).devices:
         return True
     return any(live(d, fs, sys) for d in sys.device_pool.get(device_type, ()))
 
 
-def _devs_ok(sw: Software, c: str, fs, sys) -> bool:
+def devs_ok(sw: Software, c: str, fs: FailedSet, sys: SystemModel) -> bool:
+    """Every device ``sw`` needs is available on computer ``c``."""
     return all(avail_dev(dt, c, fs, sys) for dt in sw.devices)
 
 
@@ -67,7 +69,7 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
 
     def reqs_ok(sw, host):
         return (all(avail_on(f2, host, cfg, fs, sys, memo) for f2 in sw.fn_req)
-                and _devs_ok(sw, host, fs, sys))
+                and devs_ok(sw, host, fs, sys))
 
     result = False
     for si in cfg.si:

@@ -113,7 +113,7 @@ def _cmd_replay(args) -> int:
     if not args.schedule:
         raise modelio.ModelLoadError("replay needs --schedule or --exhaustive")
     bursts = modelio.load_schedule(args.schedule, sys_model, req)
-    roots = policy.roots
+    roots = list(policy.roots.items())
     if args.root is not None:
         if not 0 <= args.root < len(roots):
             raise modelio.ModelLoadError(

@@ -15,11 +15,13 @@ would write.
 A replay schedule is a list of bursts, each a list of the ids of hardware
 that crashes together.
 
-A policy file (format version 2) holds the model's fingerprint, four
-tables of distinct objects (``signatures``, ``configs``, ``failedSets``,
-``actions``) in first-use order, and ``roots`` and ``entries`` as rows of
-indices into them.  The reader decodes each table row once and checks every
-index, so decoded entries share the table's objects.
+A policy file (format version 3) holds the model's fingerprint, three
+tables of distinct objects in first-use order (``configs``, ``failedSets``,
+each a sorted list of hardware ids, and ``actions``), ``roots`` as rows of
+a signature and a configuration index, and ``entries`` as rows of indices:
+state configuration, failed set, burst, target configuration and the list
+of actions.  The reader decodes each table row once and checks every index,
+so decoded entries share the table's objects.
 """
 
 from __future__ import annotations
@@ -197,20 +199,14 @@ _OPT_INT = (int, type(None))
 def _rows(d: dict, key: str, shape: tuple, where: str) -> list:
     """List field ``key`` of ``d`` whose entries are lists that match
     ``shape`` position by position, as tuples."""
-    return _shaped(_get(d, key, list, where), shape, where, key)
-
-
-def _shaped(items: list, shape: tuple, where: str, name: str) -> list:
-    """The entries of ``items``, named ``name`` in messages, each a list
-    that matches ``shape`` position by position, as tuples."""
     rows = []
-    for i, row in enumerate(items):
+    for i, row in enumerate(_get(d, key, list, where)):
         if type(row) is not list or len(row) != len(shape):
             got = ("%d entries" % len(row) if type(row) is list
                    else "type %s" % type(row).__name__)
             raise ModelLoadError("%s: entry %d of %r has %s, expected a "
                                  "list of %d entries"
-                                 % (where, i, name, got, len(shape)))
+                                 % (where, i, key, got, len(shape)))
         vals = []
         for val, typ in zip(row, shape):
             if typ is _STRS:
@@ -220,7 +216,7 @@ def _shaped(items: list, shape: tuple, where: str, name: str) -> list:
             if not ok:
                 raise ModelLoadError(
                     "%s: entry %d of %r holds %s where %s is expected"
-                    % (where, i, name, type(val).__name__, _STRS
+                    % (where, i, key, type(val).__name__, _STRS
                        if typ is _STRS else _type_names(typ)))
             vals.append(tuple(val) if typ is _STRS else val)
         rows.append(tuple(vals))
@@ -458,12 +454,12 @@ def action_from_obj(obj: dict):
     return _ACTION_CODECS[name][2](obj)
 
 
-POLICY_VERSION = 2
+POLICY_VERSION = 3
 _FINGERPRINT = re.compile("[0-9a-f]{64}")
 _INT = (int,)
-# state config, failed set, burst, target signature, target config: each an
-# index; then the list of action indices
-_ENTRY_ROW = (_INT,) * 5 + ((list,),)
+# state config, failed set, burst, target config: each an index; then the
+# list of action indices
+_ENTRY_ROW = (_INT,) * 4 + ((list,),)
 
 
 def _table(encode):
@@ -484,21 +480,26 @@ def _table(encode):
 def policy_to_dict(policy: Policy) -> dict:
     if policy.model is None:
         raise ModelError("policy has no model fingerprint")
-    sig, sigs = _table(signature_to_obj)
+    # Many entries share a state configuration or a failed set: key each
+    # one once.
+    states = {c: c.key() for c in {k[0] for k in policy.entries}}
+    sets = {f: fs_key(f) for f in {f for k in policy.entries for f in k[1:]}}
+
+    def order(item):
+        (state, f, burst), _ = item
+        return states[state], sets[f], sets[burst]
+
     cfg, cfgs = _table(config_to_obj)
-    fs, fss = _table(lambda key: [[h, CRASH] for h in key])
+    fs, fss = _table(lambda f: list(sets[f]))
     act, acts = _table(action_to_obj)
-    roots = [[sig(s), cfg(c)] for s, c in policy.roots]
-    # Many entries share a state configuration: key each one once.
-    state_keys = {c: c.key() for c in {k[0] for k in policy.entries}}
-    entries = [[cfg(state), fs(fskey), fs(burstkey), sig(e.target_sig),
-                cfg(e.target_cfg), [act(a) for a in e.actions]]
-               for (state, fskey, burstkey), e in sorted(
-                   policy.entries.items(),
-                   key=lambda kv: (state_keys[kv[0][0]], kv[0][1], kv[0][2]))]
+    roots = [[signature_to_obj(s), cfg(c)] for s, c in policy.roots.items()]
+    entries = [[cfg(state), fs(f), fs(burst), cfg(e.target_cfg),
+                [act(a) for a in e.actions]]
+               for (state, f, burst), e in sorted(policy.entries.items(),
+                                                  key=order)]
     return {"version": POLICY_VERSION, "model": policy.model,
-            "signatures": sigs, "configs": cfgs, "failedSets": fss,
-            "actions": acts, "roots": roots, "entries": entries}
+            "configs": cfgs, "failedSets": fss, "actions": acts,
+            "roots": roots, "entries": entries}
 
 
 def save_policy(policy: Policy, path):
@@ -525,21 +526,6 @@ def _at(table: list, i, name: str):
                          "entries" % (i, name, len(table)))
 
 
-def _failed_set(i: int, obj) -> tuple:
-    """Entry ``i`` of the ``failedSets`` table: [hardware id, "crash"]
-    pairs, as an ``fs_key``."""
-    if type(obj) is not list:
-        raise ModelLoadError("policy: entry %d of 'failedSets' has type %s, "
-                             "expected a list" % (i, type(obj).__name__))
-    rows = _shaped(obj, (_STR, _STR), "policy", "failedSets %d" % i)
-    for hw, ftype in rows:
-        if ftype != CRASH:
-            raise ModelLoadError("policy: entry %d of 'failedSets' gives %r "
-                                 "the failure type %r, but only %r is "
-                                 "modelled" % (i, hw, ftype, CRASH))
-    return fs_key(frozenset(hw for hw, _ in rows))
-
-
 def policy_from_dict(raw: dict) -> Policy:
     if not isinstance(raw, dict):
         raise ModelLoadError("policy: has type %s, expected an object"
@@ -553,24 +539,27 @@ def policy_from_dict(raw: dict) -> Policy:
     if not _FINGERPRINT.fullmatch(model):
         raise ModelLoadError("policy: field 'model' is not a SHA-256 digest "
                              "in lowercase hexadecimal")
-    sigs = [signature_from_obj(o)
-            for o in _objects(raw, "signatures", "policy", _REQUIRED)]
     cfgs = [config_from_obj(o)
             for o in _objects(raw, "configs", "policy", _REQUIRED)]
-    fss = [_failed_set(i, o)
-           for i, o in enumerate(_get(raw, "failedSets", list, "policy"))]
+    fss = []
+    for i, row in enumerate(_get(raw, "failedSets", list, "policy")):
+        if type(row) is not list or not all(type(h) is str for h in row):
+            raise ModelLoadError("policy: entry %d of 'failedSets' is not a "
+                                 "list of hardware ids" % i)
+        fss.append(frozenset(row))
     acts = [action_from_obj(o)
             for o in _objects(raw, "actions", "policy", _REQUIRED)]
     policy = Policy(model=model)
-    for i, (s, c) in enumerate(_rows(raw, "roots", (_INT, _INT), "policy")):
-        sig = _at(sigs, s, "signatures")
-        # Replay starts from the first root of a signature, so a later one
-        # would never be checked.
-        if policy.root_config(sig) is not None:
+    for i, (s, c) in enumerate(_rows(raw, "roots", ((dict,), _INT),
+                                     "policy")):
+        sig = signature_from_obj(s)
+        # Replay starts from the root of a signature, so a second one would
+        # never be checked.
+        if sig in policy.roots:
             raise ModelLoadError("policy: root %d repeats the signature of "
                                  "an earlier root" % i)
-        policy.add_root(sig, _at(cfgs, c, "configs"))
-    for i, (state, fs, burst, tsig, tcfg, actions) in enumerate(_rows(
+        policy.roots[sig] = _at(cfgs, c, "configs")
+    for i, (state, fs, burst, tcfg, actions) in enumerate(_rows(
             raw, "entries", _ENTRY_ROW, "policy")):
         key = (_at(cfgs, state, "configs"), _at(fss, fs, "failedSets"),
                _at(fss, burst, "failedSets"))
@@ -578,7 +567,7 @@ def policy_from_dict(raw: dict) -> Policy:
             raise ModelLoadError("policy: entry %d repeats the state, failed "
                                  "set and burst of an earlier entry" % i)
         policy.entries[key] = PolicyEntry(
-            _at(sigs, tsig, "signatures"), _at(cfgs, tcfg, "configs"),
+            _at(cfgs, tcfg, "configs"),
             tuple(_at(acts, a, "actions") for a in actions))
     return policy
 

@@ -30,7 +30,7 @@ from .model import (
     valid_config,
 )
 from .failures import FailedSet, State
-from .availability import avail_dev, avail_on, live
+from .availability import avail_on, devs_ok, live
 from . import model
 
 
@@ -101,15 +101,14 @@ def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
     ``memo`` is ``availability.avail_on``'s memo; it may be shared by calls
     with the same configuration and failed set.
     """
-    comp = sys.computer(c)
-    if not model.compatible(sw, comp):
+    if not model.compatible(sw, sys.computer(c)):
         return False
     if memo is None:
         memo = {}
     for fn in sw.fn_req:
         if not avail_on(fn, c, cfg, fs, sys, memo):
             return False
-    return all(avail_dev(dt, comp, fs, sys) for dt in sw.devices)
+    return devs_ok(sw, c, fs, sys)
 
 
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,

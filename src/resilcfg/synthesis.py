@@ -49,20 +49,13 @@ from .reconfig import (
     can_reconfigure,
     derive_actions,
 )
-# ``generate_all_configs``, ``generate_init_configs``, ``partition_members``
-# and ``signature`` are not called here, but the benchmark's layer tracer
+from .enumeration import ResilienceRequirement, enumerate_classes
+from .quotient import CanonicalSignature
+# These four are not called here, but the benchmark's layer tracer
 # (``perfbench/tracer.py``) patches these names in this module.
 from .enumeration import (  # noqa: F401
-    ResilienceRequirement,
-    enumerate_classes,
-    generate_all_configs,
-    generate_init_configs,
-)
-from .quotient import (  # noqa: F401
-    CanonicalSignature,
-    partition_members,
-    signature,
-)
+    generate_all_configs, generate_init_configs)
+from .quotient import partition_members, signature  # noqa: F401
 
 QUOTIENT_MODES = ("off", "partial", "full")
 
@@ -84,7 +77,6 @@ def quality(cfg: Config, sys: SystemModel) -> Quality:
 
 
 class PolicyEntry(NamedTuple):
-    target_sig: CanonicalSignature
     target_cfg: Config
     actions: tuple
 
@@ -92,27 +84,17 @@ class PolicyEntry(NamedTuple):
 @dataclass
 class Policy:
     """Reconfiguration policy: per (state configuration, failed set, burst),
-    the action sequence restoring a resilient configuration.  ``model`` is
-    the fingerprint of the model the policy was solved for (see
-    ``modelio.model_fingerprint``).  Roots are added with ``add_root`` so
-    that ``root_config`` finds them."""
+    the action sequence restoring a resilient configuration.  ``roots``
+    maps each root signature to its configuration, in root order, and
+    ``model`` is the fingerprint of the model the policy was solved for
+    (see ``modelio.model_fingerprint``)."""
 
-    roots: list = field(default_factory=list)  # (signature, root Config)
+    roots: dict = field(default_factory=dict)
     entries: dict = field(default_factory=dict)
     model: Optional[str] = None
-    # signature -> root Config of its first root; kept by ``add_root``
-    _root_index: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-
-    def add_root(self, sig, cfg: Config):
-        self.roots.append((sig, cfg))
-        self._root_index.setdefault(sig, cfg)
-
-    def entry(self, cfg: Config, fs, burst) -> Optional[PolicyEntry]:
-        return self.entries.get((cfg, fs_key(fs), fs_key(burst)))
 
     def root_config(self, sig) -> Optional[Config]:
-        return self._root_index.get(sig)
+        return self.roots.get(sig)
 
 
 class _MemoEntry(NamedTuple):
@@ -484,8 +466,9 @@ class Synthesizer:
         entry's target is the state representative the verdicts were
         computed on, so replaying entries keeps landing on states that have
         entries of their own until the failed set is maximal.  Entries are
-        keyed by the state's configuration, which the stack carries: the
-        root's at the empty failed set, the recorded target's below it.  So
+        keyed by the search's own failed sets and by the state's
+        configuration, which the stack carries: the root's at the empty
+        failed set, the recorded target's below it.  So
         with ``off`` and ``partial``, two members of one class explored at
         one failed set keep an entry each.  Only the first root of a
         signature is followed, because replay starts there.
@@ -494,9 +477,8 @@ class Synthesizer:
         stack = []
         for node in accepted_roots:
             sig = self._sig_of_node(node)
-            if policy.root_config(sig) is None:
-                cfg = self.state_config(node, EMPTY_FS)
-                policy.add_root(sig, cfg)
+            if sig not in policy.roots:
+                cfg = policy.roots[sig] = self.state_config(node, EMPTY_FS)
                 stack.append((node, EMPTY_FS, cfg))
         done = set()
         while stack:
@@ -511,35 +493,9 @@ class Synthesizer:
             for burst, succ, actions in entry.successors:
                 fs2 = fs | burst
                 target = self.state_config(succ, fs2)
-                policy.entries[(cfg, fs_key(fs), fs_key(burst))] = \
-                    PolicyEntry(self._sig_of_node(succ), target, actions)
+                policy.entries[(cfg, fs, burst)] = PolicyEntry(target, actions)
                 stack.append((succ, fs2, target))
         return policy
-
-
-# -- module-level operations ------------------------------------------------
-
-
-def resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,
-              sys: SystemModel) -> bool:
-    """Recursive resilience of one state; see ``Synthesizer.check_state``."""
-    return Synthesizer(sys, req).check_state(cfg, fs)
-
-
-def one_resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,
-                  sys: SystemModel) -> bool:
-    """Non-recursive variant: one reconfiguration must restore availability."""
-    return Synthesizer(sys, req).check_state_one(cfg, fs)
-
-
-def solve_resilient(sys: SystemModel, req: ResilienceRequirement,
-                    quotient: str = "full") -> SolveResult:
-    return Synthesizer(sys, req, quotient).solve("resilient")
-
-
-def solve_best_resilient(sys: SystemModel, req: ResilienceRequirement,
-                         quotient: str = "full") -> SolveResult:
-    return Synthesizer(sys, req, quotient).solve("best")
 
 
 # -- policy replay ------------------------------------------------------------
@@ -578,7 +534,7 @@ def _replay_step(policy: Policy, state: State, burst: FailedSet,
     actions and check its promises.  The returned state holds the entry's
     own target configuration."""
     fs2 = state.fs | burst
-    entry = policy.entry(state.cfg, state.fs, burst)
+    entry = policy.entries.get((state.cfg, state.fs, burst))
     if entry is None:
         raise ReplayError("no policy entry for " + _where(burst, state.fs))
     st = State(remove_dead(state.cfg, fs2, sys), fs2)
@@ -631,7 +587,7 @@ def verify_policy(policy: Policy, sys: SystemModel,
     bursts = {}
     memo = {}  # state -> schedules below it
     n = 0
-    for sig, _ in policy.roots:
+    for sig in policy.roots:
         n += _verify_below(policy, _replay_root(policy, sig, sys, req), sys,
                            req, memo, bursts)
     return n

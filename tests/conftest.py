@@ -78,16 +78,15 @@ def over_budget_root(sys, req):
     new configuration, each prefixed with stopping that instance where the
     burst leaves it running."""
     policy = Synthesizer(sys, req).solve().policy
-    sig, cfg = policy.roots[0]
+    sig, cfg = next(iter(policy.roots.items()))
     extra = SwInst("chassis-interface", "c1")
     bad = Config.make(cfg.si + (extra,), cfg.rsi)
-    out = Policy(model=policy.model)
-    out.add_root(sig, bad)
+    out = Policy(roots={sig: bad}, model=policy.model)
     for (state, fs, burst), entry in policy.entries.items():
         out.entries[(state, fs, burst)] = entry
         if state == cfg and not fs:
             stop = (Stop(extra),) if extra in remove_dead(
-                bad, frozenset(burst), sys).si else ()
+                bad, burst, sys).si else ()
             out.entries[(bad, fs, burst)] = entry._replace(
                 actions=stop + entry.actions)
     return out, bad

@@ -21,7 +21,6 @@ from resilcfg import (
 )
 from resilcfg import fixtures
 from resilcfg.oracle import default_max_len, reachable_by_actions
-from resilcfg.synthesis import solve_best_resilient
 from conftest import FS0, random_model
 
 EXAMPLE1 = {
@@ -215,17 +214,17 @@ def test_criterion_9_policy_soundness(tmp_path):
                         fixtures.autonomous_driving_phone):
             for scale in (2, 3):
                 sys_, req = builder(scale)
-                res = solve_best_resilient(sys_, req)
+                res = Synthesizer(sys_, req).solve()
                 assert verify_policy(res.policy, sys_, req) > 0
 
         sys_, req = fixtures.autonomous_driving_laptop(2)
-        res = solve_best_resilient(sys_, req)
+        res = Synthesizer(sys_, req).solve()
         best_sig, best_q, best_cfg = res.resilient[0]
         assert best_cfg.si == (SwInst("chassis-interface", "c0"),
                                SwInst("control", "c0"),
                                SwInst("localization", "c1"),
                                SwInst("planning", "c1"))
-        entry = res.policy.entry(best_cfg, FS0, frozenset({"c0"}))
+        entry = res.policy.entries[(best_cfg, FS0, frozenset({"c0"}))]
         expected = {
             Stop(SwInst("planning", "c1")),
             ChangeReps("perception", ("c1",), "c1"),

@@ -8,13 +8,13 @@ from resilcfg import (
     Computer,
     Config,
     Device,
+    Synthesizer,
     SystemModel,
     avail,
     avail_dev,
     avail_on,
     live,
     quorum_size,
-    solve_best_resilient,
 )
 from resilcfg.modelio import model_from_dict
 from resilcfg.oracle import all_valid_configs
@@ -113,8 +113,8 @@ def test_live_along_a_power_chain_longer_than_the_recursion_limit():
     # The solve reads liveness through the whole chain, and a chain of
     # devices no failure model fails powers c0 as a single device does.
     short = model_from_dict(power_chain_model(1))
-    assert (solve_best_resilient(sys, req).counts()
-            == solve_best_resilient(*short).counts())
+    assert (Synthesizer(sys, req).solve().counts()
+            == Synthesizer(*short).solve().counts())
 
 
 # -- device availability -------------------------------------------------------

@@ -19,7 +19,6 @@ from resilcfg import (
     save_model,
     save_policy,
     save_report,
-    solve_best_resilient,
     valid_config,
 )
 from resilcfg.availability import avail
@@ -46,7 +45,7 @@ def _indented(obj) -> str:
 def test_indented_writer_matches_json_on_the_fixtures():
     for name, builder in fixtures.BUILDERS.items():
         sys, req = builder()
-        result = solve_best_resilient(sys, req)
+        result = Synthesizer(sys, req).solve()
         for obj in (modelio.model_to_dict(sys, req, ["a note"]),
                     modelio.report_to_dict(result, "fixtures/%s.json" % name)):
             assert _indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
@@ -117,7 +116,7 @@ def test_load_reports_parse_position(tmp_path):
 
 def test_policy_round_trip(tmp_path):
     sys, req = fixtures.tiny()
-    res = solve_best_resilient(sys, req)
+    res = Synthesizer(sys, req).solve()
     path = tmp_path / "policy.json"
     save_policy(res.policy, path)
     loaded = load_policy(path)
@@ -142,7 +141,7 @@ def test_policies_round_trip_through_their_files(tmp_path, quotient):
         loaded = load_policy(path)
         assert loaded == policy
         assert loaded.model == modelio.model_fingerprint(sys, req)
-        configs = [cfg for _, cfg in loaded.roots]
+        configs = list(loaded.roots.values())
         for (state, _, _), entry in loaded.entries.items():
             configs += [state, entry.target_cfg]
         assert len(set(map(id, configs))) == len(set(configs))
@@ -157,7 +156,7 @@ def test_empty_policy_round_trip(tmp_path):
     fingerprint = modelio.model_fingerprint(*fixtures.tiny())
     save_policy(Policy(model=fingerprint), path)
     loaded = load_policy(path)
-    assert loaded.roots == [] and loaded.entries == {}
+    assert loaded.roots == {} and loaded.entries == {}
     assert loaded.model == fingerprint
 
 
@@ -165,7 +164,7 @@ def test_solve_runs_are_byte_identical(tmp_path):
     sys, req = fixtures.tiny()
     files = []
     for tag in ("a", "b"):
-        res = solve_best_resilient(sys, req)
+        res = Synthesizer(sys, req).solve()
         pol = tmp_path / ("pol_%s.json" % tag)
         rep = tmp_path / ("rep_%s.json" % tag)
         save_policy(res.policy, pol)
@@ -179,7 +178,7 @@ def test_report_counts_match_library(tmp_path):
                           partition_members)
 
     sys, req = fixtures.autonomous_driving_phone(2)
-    res = solve_best_resilient(sys, req)
+    res = Synthesizer(sys, req).solve()
     rep = tmp_path / "report.json"
     save_report(res, rep, "example2.json")
     raw = json.loads(rep.read_text())
@@ -209,7 +208,7 @@ def test_artifacts_conform_to_shipped_schemas():
         validator(model_schema).validate(
             json.loads((FIXTURES / (name + ".json")).read_text()))
     sys, req = fixtures.tiny()
-    res = solve_best_resilient(sys, req)
+    res = Synthesizer(sys, req).solve()
     validator(policy_schema).validate(modelio.policy_to_dict(res.policy))
     validator(report_schema).validate(modelio.report_to_dict(res, "m.json"))
 
@@ -288,7 +287,7 @@ def test_cli_replay_schedule(tmp_path):
                  "--policy", str(pol), "--schedule", str(bad)]) == 2
     # A policy without the entry for the scheduled burst is a gap.
     raw = json.loads(pol.read_text())
-    c0 = raw["failedSets"].index([["c0", "crash"]])
+    c0 = raw["failedSets"].index(["c0"])
     raw["entries"] = [e for e in raw["entries"] if e[2] != c0]
     gap = tmp_path / "gap.json"
     gap.write_text(json.dumps(raw))
@@ -379,7 +378,7 @@ def _reject_first_action(pol):
     raw = json.loads(pol.read_text())
     raw["actions"].append({"type": "stop", "sw": "LOC", "computer": "nowhere"})
     for e in raw["entries"]:
-        e[5][0] = len(raw["actions"]) - 1
+        e[4][0] = len(raw["actions"]) - 1
     pol.write_text(json.dumps(raw))
 
 
@@ -473,7 +472,7 @@ def test_load_rejects_other_malformed_models(raw):
 
 
 def _with_short_fixed_si(raw):
-    raw["signatures"][0]["fixedSI"] = [["a"]]
+    raw["roots"][0][0]["fixedSI"] = [["a"]]
     return raw
 
 
@@ -482,10 +481,18 @@ def _with_bare_stop(raw):
     return raw
 
 
-def _with_omission(raw):
-    """The first crash of the failed-set table, spelled as an omission."""
-    row = next(fs for fs in raw["failedSets"] if fs)[0]
-    row[1] = "omission"
+def _with_failed_set_row(row):
+    """A policy whose first non-empty failed set reads ``row``."""
+    def broken(raw):
+        i = next(i for i, fs in enumerate(raw["failedSets"]) if fs)
+        raw["failedSets"][i] = row
+        return raw
+    return broken
+
+
+def _with_signature_index(raw):
+    """The first root's signature as an index, as format version 2 had."""
+    raw["roots"][0][0] = 0
     return raw
 
 
@@ -494,13 +501,17 @@ def _with_omission(raw):
      "entry 0 of 'roots' has 1 entries, expected a list of 2"),
     (lambda raw: dict(raw, roots=[5]),
      "entry 0 of 'roots' has type int, expected a list of 2"),
+    (_with_signature_index,
+     "entry 0 of 'roots' holds int where dict is expected"),
     (_with_short_fixed_si,
      "entry 0 of 'fixedSI' has 1 entries, expected a list of 2"),
     (_with_bare_stop, "action: missing field 'sw'"),
-    (_with_omission, "gives 'c0' the failure type 'omission', but only "
-                     "'crash' is modelled"),
-], ids=["root-without-signature", "root-not-an-object", "short-fixedSI-entry",
-        "stop-without-sw", "failure-type-omission"])
+    (_with_failed_set_row([["c0", "crash"]]),
+     "is not a list of hardware ids"),
+    (_with_failed_set_row(["c0", 1]), "is not a list of hardware ids"),
+], ids=["root-without-signature", "root-not-an-object",
+        "root-signature-an-index", "short-fixedSI-entry", "stop-without-sw",
+        "failed-set-crash-pair", "failed-set-non-string"])
 def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
                                                        broken, message):
     pol = _tiny_policy(tmp_path)
@@ -514,15 +525,17 @@ def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
 
 def _as_version_1(raw):
     """The roots of a policy file in the layout before format version 2."""
-    return {"roots": [{"signature": raw["signatures"][s],
-                       "config": raw["configs"][c]} for s, c in raw["roots"]],
+    return {"roots": [{"signature": s, "config": raw["configs"][c]}
+                      for s, c in raw["roots"]],
             "entries": []}
 
 
 @pytest.mark.parametrize("model, change, message", [
     ("example1", lambda raw: raw, "was solved for another model"),
     ("tiny", _as_version_1, "format version None is not supported"),
-], ids=["another-model", "version-1-layout"])
+    ("tiny", lambda raw: dict(raw, version=2),
+     "format version 2 is not supported, expected 3; solve the model again"),
+], ids=["another-model", "version-1-layout", "version-2"])
 def test_cli_replay_policy_of_another_model_or_format_is_an_input_error(
         tmp_path, capsys, model, change, message):
     pol = _tiny_policy(tmp_path)

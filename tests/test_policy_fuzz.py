@@ -10,18 +10,18 @@ from hypothesis import given, settings, strategies as st
 from resilcfg import (
     ModelLoadError,
     Policy,
+    Synthesizer,
     fixtures,
     load_policy,
-    solve_best_resilient,
 )
 from resilcfg.modelio import policy_to_dict
 
 # The field names of policy files, so that generated objects reach past the
 # top-level checks.
-KEYS = ("version", "model", "signatures", "configs", "failedSets", "actions",
-        "roots", "entries", "fixedSI", "fixedRSI", "relocBag", "si", "rsi",
-        "type", "sw", "computer", "computers", "primary", "target", "stop",
-        "stopRep", "start", "move", "changeReps")
+KEYS = ("version", "model", "configs", "failedSets", "actions", "roots",
+        "entries", "fixedSI", "fixedRSI", "relocBag", "si", "rsi", "type",
+        "sw", "computer", "computers", "primary", "target", "stop", "stopRep",
+        "start", "move", "changeReps")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -32,7 +32,7 @@ json_values = st.recursive(
                                         children, max_size=4)),
     max_leaves=12)
 
-TINY = policy_to_dict(solve_best_resilient(*fixtures.tiny()).policy)
+TINY = policy_to_dict(Synthesizer(*fixtures.tiny()).solve().policy)
 
 
 def _paths(obj, prefix=()):
@@ -96,13 +96,12 @@ def test_the_unmutated_policy_loads(policy_path):
 
 
 # Where the tiny policy holds an index, and the table it indexes.
-INDEX_SLOTS = [(("roots", 0, 0), "signatures"), (("roots", 0, 1), "configs"),
+INDEX_SLOTS = [(("roots", 0, 1), "configs"),
                (("entries", 0, 0), "configs"),
                (("entries", 0, 1), "failedSets"),
                (("entries", 0, 2), "failedSets"),
-               (("entries", 0, 3), "signatures"),
-               (("entries", 0, 4), "configs"),
-               (("entries", 0, 5, 0), "actions")]
+               (("entries", 0, 3), "configs"),
+               (("entries", 0, 4, 0), "actions")]
 
 
 @pytest.mark.parametrize("slot, table", INDEX_SLOTS,

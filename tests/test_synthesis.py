@@ -14,7 +14,6 @@ from resilcfg import (
     FailureModel,
     ModelError,
     NoWitnessError,
-    Policy,
     Quality,
     ResilienceRequirement,
     Software,
@@ -26,14 +25,11 @@ from resilcfg import (
     fs_key,
     load_model,
     next_failed_sets,
-    one_resilient,
     quality,
     remove_dead,
     rep_inst,
     replay_schedule,
-    resilient,
-    solve_best_resilient,
-    solve_resilient,
+    signature,
     valid_config,
     verify_policy,
     worst_burst_schedules,
@@ -65,33 +61,34 @@ def test_resilient_vacuous():
     relaxed = ResilienceRequirement(
         fm=FailureModel(bounds=(FailBound(hw_type="Computer", n=0),)),
         crit_fns=frozenset())
-    assert resilient(Config(), FS0, relaxed, sys)
+    assert Synthesizer(sys, relaxed).check_state(Config(), FS0)
 
 
 def test_resilient_tiny_replicated(tiny_sys, tiny_req):
-    assert resilient(tiny_config(), FS0, tiny_req, tiny_sys)
+    assert Synthesizer(tiny_sys, tiny_req).check_state(tiny_config(), FS0)
 
 
 def test_not_resilient_unreplicated_planner(tiny_sys, tiny_req):
     cfg = tiny_config(plan_members=None, plan_si="c0")
-    assert not resilient(cfg, FS0, tiny_req, tiny_sys)
+    assert not Synthesizer(tiny_sys, tiny_req).check_state(cfg, FS0)
 
 
 def test_resilient_rejects_invalid_state(tiny_sys, tiny_req):
     bad = Config.make([SwInst("LOC", "c0")],
                       [rep_inst("LOC", "primary-backup", ["c0"], "c0")])
     with pytest.raises(ModelError):
-        resilient(bad, FS0, tiny_req, tiny_sys)
+        Synthesizer(tiny_sys, tiny_req).check_state(bad, FS0)
 
 
 def test_one_resilient_implied(tiny_sys, tiny_req):
     cfg = tiny_config()
-    assert resilient(cfg, FS0, tiny_req, tiny_sys)
-    assert one_resilient(cfg, FS0, tiny_req, tiny_sys)
+    syn = Synthesizer(tiny_sys, tiny_req)
+    assert syn.check_state(cfg, FS0)
+    assert syn.check_state_one(cfg, FS0)
 
 
 def test_solve_tiny(tiny_sys, tiny_req):
-    res = solve_best_resilient(tiny_sys, tiny_req)
+    res = Synthesizer(tiny_sys, tiny_req).solve()
     assert res.counts() == (8, 6, 4, 3, 1)
     sig, q, cfg = res.resilient[0]
     assert q == Quality(2, 3)
@@ -101,40 +98,41 @@ def test_solve_tiny(tiny_sys, tiny_req):
 
 def test_solve_unsat_reports_empty():
     sys, req = fixtures.unsat()
-    res = solve_resilient(sys, req)
+    res = Synthesizer(sys, req).solve("resilient")
     assert res.n_resilient_classes == 0 and res.resilient == []
-    assert res.policy.roots == []
+    assert res.policy.roots == {}
 
 
 def test_solve_modes_agree(tiny_sys, tiny_req):
-    a = solve_resilient(tiny_sys, tiny_req)
-    b = solve_best_resilient(tiny_sys, tiny_req)
+    a = Synthesizer(tiny_sys, tiny_req).solve("resilient")
+    b = Synthesizer(tiny_sys, tiny_req).solve()
     assert [s for s, _, _ in a.resilient] == [s for s, _, _ in b.resilient]
 
 
 def test_policy_has_entries_for_both_bursts(tiny_sys, tiny_req):
-    res = solve_best_resilient(tiny_sys, tiny_req)
-    (sig, root) = res.policy.roots[0]
+    res = Synthesizer(tiny_sys, tiny_req).solve()
+    root = next(iter(res.policy.roots.values()))
     for c in ("c0", "c1"):
-        entry = res.policy.entry(root, FS0, frozenset({c}))
+        entry = res.policy.entries.get((root, FS0, frozenset({c})))
         assert entry is not None
         assert entry.actions  # a real reconfiguration is needed
     assert verify_policy(res.policy, tiny_sys, tiny_req) == 2
 
 
-def test_policy_root_config_finds_the_first_root_of_a_signature():
-    policy = Policy()
-    a, b = tiny_config(), tiny_config(loc_host="c1")
-    policy.add_root("sig", a)
-    policy.add_root("sig", b)
-    assert policy.roots == [("sig", a), ("sig", b)]
-    assert policy.root_config("sig") is a
-    assert policy.root_config("other") is None
+def test_policy_roots_keep_the_first_root_of_each_signature(tiny_sys,
+                                                            tiny_req):
+    """With ``off`` every initial configuration is a root, and several
+    members of one class may be accepted; the policy keeps the first."""
+    res = Synthesizer(tiny_sys, tiny_req, quotient="off").solve()
+    assert len(res.resilient) > len(res.policy.roots) == 1
+    sig, _, first = res.resilient[0]
+    assert res.policy.root_config(sig) is first
+    assert res.policy.root_config("other") is None
 
 
 def test_policy_replay_detects_missing_entry(tiny_sys, tiny_req):
-    res = solve_best_resilient(tiny_sys, tiny_req)
-    sig, _ = res.policy.roots[0]
+    res = Synthesizer(tiny_sys, tiny_req).solve()
+    sig = next(iter(res.policy.roots))
     with pytest.raises(ReplayError):
         replay_schedule(res.policy, sig,
                         [frozenset({"c0"}), frozenset({"c1"})],
@@ -148,8 +146,8 @@ def test_empty_roots_empty_policy(tiny_sys, tiny_req):
 
 
 def test_memo_determinism(tiny_sys, tiny_req):
-    a = solve_best_resilient(tiny_sys, tiny_req)
-    b = solve_best_resilient(tiny_sys, tiny_req)
+    a = Synthesizer(tiny_sys, tiny_req).solve()
+    b = Synthesizer(tiny_sys, tiny_req).solve()
     assert [s for s, _, _ in a.resilient] == [s for s, _, _ in b.resilient]
     assert a.policy.entries == b.policy.entries
     assert a.policy.roots == b.policy.roots
@@ -162,7 +160,7 @@ def test_policies_replay_on_random_models():
     verified = 0
     for _ in range(40):
         sys, req = random_model(rng, max_computers=3, max_software=2)
-        res = solve_best_resilient(sys, req)
+        res = Synthesizer(sys, req).solve()
         if res.policy.roots:
             verified += verify_policy(res.policy, sys, req)
     assert verified > 50
@@ -170,7 +168,7 @@ def test_policies_replay_on_random_models():
 
 def test_quality_of_example1_best_root():
     sys, req = fixtures.autonomous_driving_laptop(2)
-    res = solve_best_resilient(sys, req)
+    res = Synthesizer(sys, req).solve()
     sig, q, cfg = res.resilient[0]
     assert q == Quality(5, 6)
     qualities = [x[1] for x in res.resilient]
@@ -236,7 +234,7 @@ def test_verify_policy_counts_every_schedule_of_every_root():
     checked = 0
     for _ in range(40):
         sys, req = random_model(rng, max_computers=3, max_software=2)
-        res = solve_best_resilient(sys, req)
+        res = Synthesizer(sys, req).solve()
         per_root = len(list(worst_burst_schedules(req, sys)))
         assert (verify_policy(res.policy, sys, req)
                 == len(res.policy.roots) * per_root)
@@ -256,7 +254,7 @@ def _replay_each(policy, sys, req):
     """The number of worst-case schedules replayed one by one from every
     root, or the first error."""
     n = 0
-    for sig, _ in policy.roots:
+    for sig in policy.roots:
         for schedule in worst_burst_schedules(req, sys):
             try:
                 replay_schedule(policy, sig, schedule, sys, req)
@@ -271,16 +269,15 @@ def test_a_corrupted_deep_entry_fails_verify_and_replay():
     the verify walk and a replay loop over single schedules, with the same
     first error."""
     sys, req = _stepwise(fixtures.autonomous_driving_phone, 3)
-    policy = solve_best_resilient(sys, req).policy
+    policy = Synthesizer(sys, req).solve().policy
     per_root = len(list(worst_burst_schedules(req, sys)))
     assert per_root == 4 + 4 * 3  # one crash of four computers, then another
     assert verify_policy(policy, sys, req) == len(policy.roots) * per_root
     key = max((k for k in policy.entries
                if k[1] and policy.entries[k].actions),
-              key=lambda k: (k[0].key(),) + k[1:])
+              key=lambda k: (k[0].key(), fs_key(k[1]), fs_key(k[2])))
     entry = policy.entries[key]
-    policy.entries[key] = PolicyEntry(entry.target_sig, entry.target_cfg,
-                                      entry.actions[:-1])
+    policy.entries[key] = entry._replace(actions=entry.actions[:-1])
 
     first = _replay_each(policy, sys, req)
     assert isinstance(first, str)
@@ -342,13 +339,14 @@ def test_verify_policy_tells_apart_states_of_one_class():
     syn = Synthesizer(sys, req)
     policy = syn.solve().policy
     burst = frozenset({"c2"})
-    sig, cfg = policy.roots[-1]
-    key = (cfg, (), fs_key(burst))
+    *earlier, cfg = policy.roots.values()
+    key = (cfg, FS0, burst)
     entry = policy.entries[key]
-    assert any(policy.entries[(c, (), fs_key(burst))].target_sig
-               == entry.target_sig for _, c in policy.roots[:-1])
+    target_sig = signature(entry.target_cfg, sys)
+    assert any(signature(policy.entries[(c, FS0, burst)].target_cfg, sys)
+               == target_sig for c in earlier)
     src = remove_dead(cfg, burst, sys)
-    for other in syn.all_classes[entry.target_sig]:
+    for other in syn.all_classes[target_sig]:
         if (other == entry.target_cfg
                 or remove_dead(other, burst, sys) != other):
             continue
@@ -357,7 +355,7 @@ def test_verify_policy_tells_apart_states_of_one_class():
         except NoWitnessError:
             continue
         break
-    policy.entries[key] = PolicyEntry(entry.target_sig, other, tuple(actions))
+    policy.entries[key] = PolicyEntry(other, tuple(actions))
 
     first = _replay_each(policy, sys, req)
     assert isinstance(first, str)
@@ -376,7 +374,8 @@ def test_replay_rejects_a_root_whose_configuration_is_invalid():
     with pytest.raises(ReplayError, match="root configuration is not valid"):
         verify_policy(policy, sys, req)
     with pytest.raises(ReplayError, match="root configuration is not valid"):
-        replay_schedule(policy, policy.roots[0][0], [{"c0"}], sys, req)
+        replay_schedule(policy, next(iter(policy.roots)), [{"c0"}], sys,
+                        req)
 
 
 def _tiny_with_spare_host():
@@ -391,9 +390,9 @@ def _tiny_with_spare_host():
     hw = [*sys.computers.values(), c2, *sys.devices.values()]
     sys = SystemModel(hw=hw, sw=[sys.sw("LOC"), plan, big],
                       protocols=sys.protocols.values(), sync=True)
-    policy = solve_best_resilient(sys, req).policy
+    policy = Synthesizer(sys, req).solve().policy
     verify_policy(policy, sys, req)
-    root = policy.roots[0][1]
+    root = next(iter(policy.roots.values()))
     assert root == tiny_config()
     return sys, req, policy, root
 
@@ -401,7 +400,7 @@ def _tiny_with_spare_host():
 def _with_actions(policy, root, failed, actions):
     """``policy`` with the actions of the root's entry for the crash of
     ``failed`` replaced."""
-    key = (root, (), fs_key({failed}))
+    key = (root, FS0, frozenset({failed}))
     entry = policy.entries[key]
     policy.entries[key] = entry._replace(actions=actions)
     return policy
@@ -419,7 +418,7 @@ def test_replay_rejects_a_passive_member_the_software_cannot_run_on():
 
 def test_replay_rejects_a_start_that_overloads_its_host():
     sys, req, policy, root = _tiny_with_spare_host()
-    entry = policy.entries[(root, (), fs_key({"c1"}))]
+    entry = policy.entries[(root, FS0, frozenset({"c1"}))]
     _with_actions(policy, root, "c1",
                   (Start(SwInst("BIG", "c0")),) + entry.actions)
     with pytest.raises(ReplayError, match="insufficient resources"):
