@@ -120,6 +120,27 @@ def test_an_index_outside_its_table_is_rejected(policy_path, slot, table,
     assert "\n" not in str(exc.value)
 
 
+# Where the tiny policy holds a value that is not an index: a root's
+# signature object, a failed set's list of hardware ids and an entry's list
+# of action indices.
+SHAPE_SLOTS = [("roots", 0, 0), ("failedSets", 0), ("entries", 0, 4)]
+
+
+@pytest.mark.parametrize("slot", SHAPE_SLOTS,
+                         ids=["-".join(map(str, s)) for s in SHAPE_SLOTS])
+@pytest.mark.parametrize("bad", [0, True, 1.0, "0", None],
+                         ids=["index-0", "true", "1.0", "string-0", "null"])
+def test_a_value_of_the_wrong_type_is_rejected(policy_path, slot, bad):
+    raw = copy.deepcopy(TINY)
+    row = raw
+    for key in slot[:-1]:
+        row = row[key]
+    row[slot[-1]] = bad
+    with pytest.raises(ModelLoadError) as exc:
+        _load(policy_path, raw)
+    assert "\n" not in str(exc.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw=json_values)
 def test_arbitrary_json_loads_or_is_rejected(policy_path, raw):
