@@ -162,20 +162,12 @@ def _next_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel,
 
 
 def _size_vectors(slots, lo_total, hi_total):
-    """Yield per-slot burst sizes with total in [lo_total, hi_total]."""
-    if hi_total < max(lo_total, 1):
-        return
-
-    def rec(i, left, acc):
-        if i == len(slots):
-            if sum(acc) >= lo_total:
-                yield tuple(acc)
-            return
-        _, cap = slots[i]
-        for t in range(0, min(cap, left) + 1):
-            yield from rec(i + 1, left - t, acc + [t])
-
-    yield from rec(0, hi_total, [])
+    """Per-slot burst sizes, each within its slot's cap, whose total is at
+    least 1 and within [lo_total, hi_total]."""
+    lo_total = max(lo_total, 1)
+    return [sizes for sizes in itertools.product(
+                *(range(cap + 1) for _, cap in slots))
+            if lo_total <= sum(sizes) <= hi_total]
 
 
 def _bursts_of(slots, sizes):
@@ -193,59 +185,21 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     An instance on failed hardware survives only when its software
     ``survives_host_loss``; a replicated instance survives as long as some
     member is unfailed (membership is not touched here -- that is a
-    reconfiguration action).
+    reconfiguration action).  The result is ``cfg`` itself when nothing
+    dies, and only the computer ids in ``fs`` matter, so failed sets that
+    fail the same computers give the same result.
     """
     if not fs:
         return cfg
-
-    def survives(sw_id):
-        return sys.sw(sw_id).survives_host_loss
-
-    si = tuple(s for s in cfg.si if s.computer not in fs or survives(s.sw))
-    rsi = tuple(r for r in cfg.rsi
-                if not fs.issuperset(r.computers) or survives(r.sw))
+    software = sys.software
+    si = [s for s in cfg.si if s.computer not in fs
+          or software[s.sw].survives_host_loss]
+    rsi = [r for r in cfg.rsi if not fs.issuperset(r.computers)
+           or software[r.sw].survives_host_loss]
     if len(si) == len(cfg.si) and len(rsi) == len(cfg.rsi):
         return cfg
     # Filtered canonical tuples stay canonical.
-    return Config(si, rsi)
-
-
-class HostLoss:
-    """Bitmask form of ``remove_dead`` for one system.
-
-    Each computer gets a bit in ``sys.computer_ids`` order.  ``remove_dead``
-    keeps all of a configuration exactly when no unreplicated instance of
-    software that does not survive host loss sits on a failed computer and
-    every replicated instance of such software keeps a member outside the
-    failed computers.  Replicated instances always have members
-    (``rep_inst``), and failed devices set no bit, so device failures never
-    remove anything.
-    """
-
-    def __init__(self, sys: SystemModel):
-        self.bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
-        self.fragile = frozenset(sid for sid, sw in sys.software.items()
-                                 if not sw.survives_host_loss)
-
-    def dead(self, fs: FailedSet) -> int:
-        """Bits of the failed computers of ``fs``."""
-        bits = self.bits
-        mask = 0
-        for h in fs:
-            mask |= bits.get(h, 0)
-        return mask
-
-    def keeps(self, cfg: Config, dead: int) -> bool:
-        """``remove_dead(cfg, fs) == cfg`` for a failed set ``fs`` whose
-        failed computers have the bits ``dead``."""
-        bits, fragile = self.bits, self.fragile
-        for s in cfg.si:
-            if s.sw in fragile and bits[s.computer] & dead:
-                return False
-        for r in cfg.rsi:
-            if r.sw in fragile and all(bits[c] & dead for c in r.computers):
-                return False
-        return True
+    return Config(tuple(si), tuple(rsi))
 
 
 def apply_failures(state: State, burst: Iterable[str], sys: SystemModel) -> State:

@@ -83,12 +83,11 @@ def _failure_model(n_fail: int) -> FailureModel:
     )
 
 
-def autonomous_driving_laptop(n_computers: int = 2, n_fail: int = None):
-    """Failover-to-laptop example; all five functionalities are critical."""
+def autonomous_driving_laptop(n_computers: int = 2):
+    """Failover-to-laptop example; all five functionalities are critical.
+    Of the ``n_computers`` embedded computers, all but one may crash."""
     if n_computers < 2:
         raise ValueError("need at least two embedded computers")
-    if n_fail is None:
-        n_fail = n_computers - 1
     laptop = Computer(id="laptop", os="linux", cpu_arch="x86-64",
                       cores=4, ram=16384, wired_nic=False, wifi_nic=True)
     linux_sw = [
@@ -106,19 +105,18 @@ def autonomous_driving_laptop(n_computers: int = 2, n_fail: int = None):
         sync=True,
     )
     req = ResilienceRequirement(
-        fm=_failure_model(n_fail),
+        fm=_failure_model(n_computers - 1),
         crit_fns=frozenset({"perception", "localization", "planning",
                             "control", "vehicle-interface"}),
     )
     return sys, req
 
 
-def autonomous_driving_phone(n_computers: int = 2, n_fail: int = None):
-    """Failover-to-human-operator example; vehicle interface is not critical."""
+def autonomous_driving_phone(n_computers: int = 2):
+    """Failover-to-human-operator example; vehicle interface is not critical.
+    Of the ``n_computers`` embedded computers, all but one may crash."""
     if n_computers < 2:
         raise ValueError("need at least two embedded computers")
-    if n_fail is None:
-        n_fail = n_computers - 1
     phone = Computer(id="phone", os="android", cpu_arch=ARM,
                      cores=2, ram=4096, wired_nic=False, wifi_nic=True,
                      cellular=True)
@@ -132,7 +130,7 @@ def autonomous_driving_phone(n_computers: int = 2, n_fail: int = None):
         sync=True,
     )
     req = ResilienceRequirement(
-        fm=_failure_model(n_fail),
+        fm=_failure_model(n_computers - 1),
         crit_fns=frozenset({"perception", "localization", "planning",
                             "control"}),
     )

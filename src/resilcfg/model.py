@@ -58,18 +58,9 @@ class Computer:
         object.__setattr__(self, "power", _frozen_str_set(self.power))
 
     def equivalent(self, other: "Computer") -> bool:
-        """Attribute equality ignoring the identifier."""
-        return (
-            self.os == other.os
-            and self.cpu_arch == other.cpu_arch
-            and self.cores == other.cores
-            and self.ram == other.ram
-            and self.devices == other.devices
-            and self.wired_nic == other.wired_nic
-            and self.wifi_nic == other.wifi_nic
-            and self.cellular == other.cellular
-            and self.power == other.power
-        )
+        """Equality of every field but the identifier.  A frozen
+        instance's ``__dict__`` holds its fields and nothing else."""
+        return {**vars(other), "id": self.id} == vars(self)
 
 
 @dataclass(frozen=True)

@@ -341,25 +341,20 @@ def model_from_dict(raw: dict):
     return sys_model, ResilienceRequirement(fm=fm, crit_fns=crit)
 
 
-def model_to_dict(sys: SystemModel, req: ResilienceRequirement,
-                  notes=None) -> dict:
+def model_to_dict(sys: SystemModel, req: ResilienceRequirement) -> dict:
     system = {key: _write_records(getattr(sys, key).values(), "system", key)
               for key in _SYSTEM}
     system["sync"] = sys.sync
-    out = {"system": system,
-           "failureModel": {
-               "bounds": _write_records(req.fm.bounds, "failureModel",
-                                        "bounds"),
-               "maxSimult": req.fm.max_simult},
-           "critFns": sorted(req.crit_fns)}
-    if notes:
-        out["_notes"] = notes
-    return out
+    return {"system": system,
+            "failureModel": {
+                "bounds": _write_records(req.fm.bounds, "failureModel",
+                                         "bounds"),
+                "maxSimult": req.fm.max_simult},
+            "critFns": sorted(req.crit_fns)}
 
 
-def save_model(sys: SystemModel, req: ResilienceRequirement, path,
-               notes=None):
-    _dump(model_to_dict(sys, req, notes), path)
+def save_model(sys: SystemModel, req: ResilienceRequirement, path):
+    _dump(model_to_dict(sys, req), path)
 
 
 # -- configurations, signatures, failed sets ------------------------------

@@ -33,7 +33,6 @@ from .model import Config, ModelError, SystemModel, valid_config
 from .failures import (
     EMPTY_FS,
     FailedSet,
-    HostLoss,
     State,
     consistent,
     fs_key,
@@ -50,12 +49,12 @@ from .reconfig import (
     derive_actions,
 )
 from .enumeration import ResilienceRequirement, enumerate_classes
-from .quotient import CanonicalSignature
-# These four are not called here, but the benchmark's layer tracer
+from .quotient import CanonicalSignature, signature
+# These three are not called here, but the benchmark's layer tracer
 # (``perfbench/tracer.py``) patches these names in this module.
 from .enumeration import (  # noqa: F401
     generate_all_configs, generate_init_configs)
-from .quotient import partition_members, signature  # noqa: F401
+from .quotient import partition_members  # noqa: F401
 
 QUOTIENT_MODES = ("off", "partial", "full")
 
@@ -186,7 +185,8 @@ class Synthesizer:
         self.quotient = quotient
         self.use_worst_bursts = use_worst_bursts
         self._built = False
-        self._host_loss = HostLoss(sys)
+        # computer -> its bit, in the host order of enumeration's masks
+        self._bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
         self._states = {}    # failed-computer bits -> {node: state config}
         self._class_of = {}  # signature -> class, in "full"
         self._contexts = {}  # failed set -> _FailedSetContext
@@ -261,16 +261,17 @@ class Synthesizer:
         states = ctx.states
         cfg = states.get(node, _MISSING)
         if cfg is _MISSING:
-            dead, keeps = ctx.dead, self._host_loss.keeps
+            fs = ctx.fs
             if self.quotient != "full":
-                cfg = node if keeps(node, dead) else None
+                cfg = node if remove_dead(node, fs, self.sys) is node else None
             else:
                 # A search, because relocatable software is startable,
                 # never survives host loss and so must sit on live
                 # computers.
                 cls = self._class_of[node]
-                cfg = cls.first_member(dead) if keeps(cls.fixed, dead) \
-                    else None
+                fixed = cls.fixed
+                cfg = (cls.first_member(ctx.dead)
+                       if remove_dead(fixed, fs, self.sys) is fixed else None)
             states[node] = cfg
         return cfg
 
@@ -280,11 +281,9 @@ class Synthesizer:
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)
         if ctx is None:
-            dead = self._host_loss.dead(fs)
-            states = self._states.get(dead)
-            if states is None:
-                states = self._states[dead] = {}
-            ctx = self._contexts[fs] = _FailedSetContext(fs, dead, states)
+            dead = sum(self._bits.get(h, 0) for h in fs)
+            ctx = self._contexts[fs] = _FailedSetContext(
+                fs, dead, self._states.setdefault(dead, {}))
         return ctx
 
     def _grow_candidates(self, ctx: _FailedSetContext) -> bool:
@@ -525,6 +524,9 @@ def _replay_root(policy: Policy, root_sig, sys: SystemModel,
         raise ReplayError("the root configuration is not valid")
     if not avail(req.crit_fns, cfg, EMPTY_FS, sys):
         raise ReplayError("critical functionality unavailable at the root")
+    if signature(cfg, sys) != root_sig:
+        raise ReplayError("the root configuration does not have the "
+                          "root's signature")
     return State(cfg, EMPTY_FS)
 
 
@@ -559,16 +561,12 @@ def _where(burst: FailedSet, fs: FailedSet) -> str:
 
 
 def worst_burst_schedules(req: ResilienceRequirement, sys: SystemModel,
-                          fs: FailedSet = EMPTY_FS, max_depth: int = None):
+                          fs: FailedSet = EMPTY_FS):
     """All schedules of worst-case bursts starting from ``fs``."""
-    if max_depth is not None and max_depth <= 0:
-        return
     for fs2 in worst_next_failed_sets(req.fm, fs, sys):
         burst = fs2 - fs
         yield [burst]
-        deeper = worst_burst_schedules(
-            req, sys, fs2, None if max_depth is None else max_depth - 1)
-        for tail in deeper:
+        for tail in worst_burst_schedules(req, sys, fs2):
             yield [burst] + tail
 
 

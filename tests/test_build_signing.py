@@ -110,8 +110,8 @@ def test_build_matches_per_configuration_references(group, mode):
 
 
 def _solve_outputs(name, mode, tmp_path):
-    """Counts, verify count and the SHA-256 of the policy and report files
-    of solving the shipped fixture ``name``."""
+    """The model of the shipped fixture ``name``, the counts and the SHA-256
+    of the policy and report files of solving it, and the policy."""
     sys, req = load_model(FIXTURES / (name + ".json"))
     result = Synthesizer(sys, req, quotient=mode).solve("best")
     policy_path = tmp_path / "policy.json"
@@ -120,21 +120,28 @@ def _solve_outputs(name, mode, tmp_path):
     save_report(result, report_path, "fixtures/%s.json" % name)
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (policy_path, report_path))
-    return result.counts(), digests, verify_policy(result.policy, sys, req)
+    return (sys, req), result.counts(), digests, result.policy
 
 
 def test_no_solve_signs_a_configuration(tmp_path, monkeypatch):
+    """Replay signs each root to check its label, so the policies are
+    verified once ``signature`` is restored."""
     names = sorted({name for name, _ in GOLDEN})
     cases = [(name, mode) for name in names for mode in QUOTIENT_MODES]
-    expected = {case: _solve_outputs(*case, tmp_path) for case in cases}
+    expected = {}
+    for case in cases:
+        model, counts, digests, policy = _solve_outputs(*case, tmp_path)
+        expected[case] = counts, digests, verify_policy(policy, *model)
 
     def refuse(cfg, sys):
         raise AssertionError("a solve signed %r" % (cfg,))
 
-    monkeypatch.setattr(quotient, "signature", refuse)
-    monkeypatch.setattr(synthesis, "signature", refuse)
-    for case in cases:
-        counts, digests, n = _solve_outputs(*case, tmp_path)
+    with monkeypatch.context() as patched:
+        patched.setattr(quotient, "signature", refuse)
+        patched.setattr(synthesis, "signature", refuse)
+        solved = {case: _solve_outputs(*case, tmp_path) for case in cases}
+    for case, (model, counts, digests, policy) in solved.items():
+        n = verify_policy(policy, *model)
         assert (counts, digests, n) == expected[case], case
         if case in GOLDEN:
             assert digests + (n,) == GOLDEN[case], case

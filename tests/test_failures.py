@@ -19,6 +19,7 @@ from resilcfg import (
     apply_failures,
     apply_recovery,
     consistent,
+    generate_all_configs,
     is_unlimited_rate,
     next_failed_sets,
     remove_dead,
@@ -187,7 +188,6 @@ def test_remove_dead_idempotent_on_random_models():
     rng = random.Random(5)
     for _ in range(60):
         sys, req = random_model(rng)
-        from resilcfg import generate_all_configs
         cfgs = generate_all_configs(sys, req)
         if not cfgs:
             continue
@@ -195,6 +195,34 @@ def test_remove_dead_idempotent_on_random_models():
         fs = frozenset(c for c in sys.computers if rng.random() < 0.4)
         once = remove_dead(cfg, fs, sys)
         assert remove_dead(once, fs, sys) == once
+
+
+def _nonempty_subsets(items):
+    return [frozenset(combo) for n in range(1, len(items) + 1)
+            for combo in itertools.combinations(sorted(items), n)]
+
+
+def test_remove_dead_is_its_argument_exactly_when_nothing_dies():
+    """The state-representative search keeps a configuration when
+    ``remove_dead`` returns it itself, and shares that answer among the
+    failed sets that fail the same computers."""
+    rng = random.Random(17)
+    seen = {"kept": 0, "dropped": 0, "with devices": 0}
+    for _ in range(60):
+        sys, req = random_model(rng)
+        device_sets = _nonempty_subsets(sys.devices)
+        for cfg in generate_all_configs(sys, req):
+            for extra in device_sets:
+                assert remove_dead(cfg, extra, sys) is cfg
+            for fs in _nonempty_subsets(sys.computers):
+                out = remove_dead(cfg, fs, sys)
+                assert (out is cfg) == (out == cfg)
+                seen["kept" if out is cfg else "dropped"] += 1
+                for extra in device_sets:
+                    out2 = remove_dead(cfg, fs | extra, sys)
+                    assert out2 == out and (out2 is cfg) == (out is cfg)
+                    seen["with devices"] += 1
+    assert all(seen.values()), seen
 
 
 # -- transitions -------------------------------------------------------------------

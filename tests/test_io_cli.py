@@ -46,7 +46,7 @@ def test_indented_writer_matches_json_on_the_fixtures():
     for name, builder in fixtures.BUILDERS.items():
         sys, req = builder()
         result = Synthesizer(sys, req).solve()
-        for obj in (modelio.model_to_dict(sys, req, ["a note"]),
+        for obj in (dict(modelio.model_to_dict(sys, req), _notes=["a note"]),
                     modelio.report_to_dict(result, "fixtures/%s.json" % name)):
             assert _indented(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
@@ -637,6 +637,29 @@ def test_cli_replay_of_an_invalid_root_fails(tmp_path, capsys):
                  "--policy", str(pol), "--exhaustive"]) == 1
     err = capsys.readouterr().err
     assert err == "replay failed: the root configuration is not valid\n"
+
+
+def test_cli_replay_of_roots_with_swapped_signatures_fails(tmp_path, capsys):
+    """Swapping the signatures of the first two roots keeps the file
+    well-formed and every root configuration valid, but each label now
+    names the other root's class."""
+    pol = tmp_path / "policy.json"
+    assert main(["solve", "--model", str(FIXTURES / "example1.json"),
+                 "--policy-out", str(pol)]) == 0
+    replay = ["replay", "--model", str(FIXTURES / "example1.json"),
+              "--policy", str(pol), "--exhaustive"]
+    capsys.readouterr()
+    assert main(replay) == 0
+    assert capsys.readouterr().out == (
+        "ok: 27 worst-case schedules replayed across 9 roots\n")
+    raw = json.loads(pol.read_text())
+    roots = raw["roots"]
+    roots[0][0], roots[1][0] = roots[1][0], roots[0][0]
+    pol.write_text(json.dumps(raw))
+    assert main(replay) == 1
+    assert capsys.readouterr().err == (
+        "replay failed: the root configuration does not have the root's "
+        "signature\n")
 
 
 def test_cli_replay_checks_the_roots_when_no_burst_is_possible(tmp_path,

@@ -1,5 +1,6 @@
 """Model-core: entities, compatibility, resources, validity."""
 
+import dataclasses
 import random
 
 import pytest
@@ -49,6 +50,24 @@ def _comp(**kw):
     base = dict(id="c", os="osA", cpu_arch="x86", cores=4, ram=1024)
     base.update(kw)
     return Computer(**base)
+
+
+def test_computer_equivalence_compares_every_field_but_the_id():
+    """Equivalent computers are merged by the class enumerator's memo key,
+    so a field left out of the comparison would merge computers that are
+    not interchangeable."""
+    base = Computer(id="c0", os="osA", cpu_arch="x86", cores=2, ram=64)
+    changed = {"os": "osB", "cpu_arch": "arm", "cores": 3, "ram": 128,
+               "devices": frozenset({"cam"}), "wired_nic": True,
+               "wifi_nic": False, "cellular": True,
+               "power": frozenset({"ups"})}
+    assert set(changed) == {f.name for f in dataclasses.fields(Computer)
+                            if f.name != "id"}
+    for name, value in changed.items():
+        other = dataclasses.replace(base, **{name: value})
+        assert not base.equivalent(other) and not other.equivalent(base)
+    other = dataclasses.replace(base, id="c1")
+    assert base.equivalent(other) and other.equivalent(base)
 
 
 def test_compatible_no_requirements():

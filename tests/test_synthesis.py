@@ -14,6 +14,7 @@ from resilcfg import (
     FailureModel,
     ModelError,
     NoWitnessError,
+    Policy,
     Quality,
     ResilienceRequirement,
     Software,
@@ -376,6 +377,23 @@ def test_replay_rejects_a_root_whose_configuration_is_invalid():
     with pytest.raises(ReplayError, match="root configuration is not valid"):
         replay_schedule(policy, next(iter(policy.roots)), [{"c0"}], sys,
                         req)
+
+
+def test_replay_rejects_a_root_labelled_with_another_signature():
+    """Two roots with their signatures swapped: both configurations are
+    valid and resilient and keep their entries, so only the label check
+    finds the lie."""
+    sys, req = fixtures.autonomous_driving_laptop()
+    policy = Synthesizer(sys, req).solve().policy
+    (sig0, cfg0), (sig1, cfg1) = list(policy.roots.items())[:2]
+    roots = dict(policy.roots)
+    roots[sig0], roots[sig1] = cfg1, cfg0
+    swapped = Policy(roots=roots, entries=policy.entries, model=policy.model)
+    message = "root configuration does not have the root's signature"
+    with pytest.raises(ReplayError, match=message):
+        verify_policy(swapped, sys, req)
+    with pytest.raises(ReplayError, match=message):
+        replay_schedule(swapped, sig1, [], sys, req)
 
 
 def _tiny_with_spare_host():
