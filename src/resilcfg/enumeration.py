@@ -359,6 +359,7 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
     for mask in presences(0, 0):
         classes.extend(_classes_with(mask, options, present_opts, sys,
                                      memo_key))
+    presences = None  # it refers to itself: break the cycle
     classes.sort(key=lambda c: c.sig)
     return classes
 
@@ -443,6 +444,7 @@ def _classes_with(mask: int, options, present_opts, sys: SystemModel,
 
     place(0, tuple(c.cores for c in sys.computers.values()),
           tuple(c.ram for c in sys.computers.values()), (), (), (), ())
+    place = count = None  # they refer to themselves: break the cycles
     return out
 
 

@@ -357,8 +357,11 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
         dead_ends.add((st.cfg, remaining))
         return False
 
-    if not search(State(cfg, fs), (1 << len(pending)) - 1):
-        raise NoWitnessError("no valid ordering of the difference actions")
+    try:
+        if not search(State(cfg, fs), (1 << len(pending)) - 1):
+            raise NoWitnessError("no valid ordering of the difference actions")
+    finally:
+        search = None  # it refers to itself: break the cycle
     return tuple(order)
 
 

@@ -10,10 +10,12 @@ The search keeps one context per failed set: its bursts, its successor
 candidates, the successor found for each source state and the memo of the
 verdicts of the nodes explored under it.  A node's state representative
 under a failed set is computed when first asked for and shared by every
-failed set that fails the same computers, and the candidate list is built,
-in batches, only as far as the successor scans reach.  A resilient node's
-memo entry keeps, per burst, the successor and the witness action sequence
-that reaches it, so policy extraction reads policies from the memo.
+failed set that fails the same computers.  A scan visits only the nodes its
+source can reach, read off their fixed parts, and the candidate list of a
+failed set and reach key is grown only as far as its scans go.  A
+resilient node's memo entry keeps, per burst, the successor and the
+witness action sequence that reaches it, so policy extraction reads
+policies from the memo.
 Recursion always grows the failed set, so the memo is purely a cache and no
 cycle detection is needed.  With full quotient reduction the successor scan
 visits one deterministic state representative per equivalence class;
@@ -106,16 +108,15 @@ class _FailedSetContext:
     cache of the successor scan: caching liveness, runnability or the
     availability of one-resilience candidates here saved no time."""
 
-    __slots__ = ("fs", "dead", "states", "bursts", "candidates", "reached",
-                 "memo", "succ")
+    __slots__ = ("fs", "dead", "states", "bursts", "candidates", "memo",
+                 "succ")
 
     def __init__(self, fs: FailedSet, dead: int, states: dict):
         self.fs = fs
         self.dead = dead        # bits of the computers ``fs`` fails
         self.states = states    # node -> state config, shared per ``dead``
         self.bursts = None      # computed by ``_next_bursts``
-        self.candidates = []    # grown by ``_grow_candidates``
-        self.reached = 0        # nodes the candidates cover, in node order
+        self.candidates = {}    # reach key -> (unwalked nodes, candidates)
         self.memo = {}          # node -> _MemoEntry
         self.succ = {}          # (source, recursive) -> (node, actions)/None
 
@@ -128,16 +129,19 @@ def _pinned_si(cfg: Config, sys: SystemModel) -> frozenset:
     """Instances of software that reconfiguration can neither start fresh
     nor move; a target containing one is reachable only from sources that
     already run it in place."""
-    pinned = []
-    for si in cfg.si:
-        sw = sys.sw(si.sw)
-        if not (sw.startable or sw.movable):
-            pinned.append(si)
-    return frozenset(pinned)
+    return frozenset(si for si in cfg.si if not (sys.sw(si.sw).startable
+                                                 or sys.sw(si.sw).movable))
+
+
+def _reach_key(cfg: Config, sys: SystemModel) -> tuple:
+    """``cfg``'s replicated pairs and pinned instances: a source reaches
+    only targets whose key lies within its own, part by part.  Both belong
+    to a class's fixed part, since relocatable software is startable, so
+    all members of a class share one key."""
+    return (_rsi_pairs(cfg), _pinned_si(cfg, sys))
 
 
 _MISSING = object()
-_FIRST_BATCH = 16  # nodes covered by a failed set's first candidates
 
 
 @dataclass
@@ -190,6 +194,7 @@ class Synthesizer:
         self._states = {}    # failed-computer bits -> {node: state config}
         self._class_of = {}  # signature -> class, in "full"
         self._contexts = {}  # failed set -> _FailedSetContext
+        self._reach = {}     # reach key -> the nodes it reaches
         self.generate_seconds = 0.0
 
     # -- universe ---------------------------------------------------------
@@ -286,30 +291,43 @@ class Synthesizer:
                 fs, dead, self._states.setdefault(dead, {}))
         return ctx
 
-    def _grow_candidates(self, ctx: _FailedSetContext) -> bool:
-        """Extend ``ctx.candidates``, the successor candidates for
-        ``ctx.fs`` in descending quality order, over the next batch of
-        nodes; False when every node is covered.
+    @cached_property
+    def _needs(self) -> list:
+        """(node, reach key), best first, equal keys stored once; built by
+        the first scan."""
+        firsts, shared, needs = self._states[0], {}, []
+        for node in self._nodes:
+            key = _reach_key(firsts[node], self.sys)
+            needs.append((node, shared.setdefault(key, key)))
+        return needs
 
-        The candidates are the nodes with a state configuration under
-        ``ctx.fs``.  Entries carry the candidate's (software, protocol)
-        replica pairs so the scan can skip, without evaluating the
-        relation, every candidate that would need a replicated instance the
-        source does not have.  The list depends only on the failed set, so
-        it is shared by every state exploring it, and built only as far as
-        its scans reach: each batch covers as many nodes as all earlier
-        ones together.
-        """
-        start = ctx.reached
-        if start == len(self._nodes):
-            return False
-        ctx.reached = min(len(self._nodes), max(2 * start, _FIRST_BATCH))
-        for node in self._nodes[start:ctx.reached]:
-            cfg = self._state(ctx, node)
-            if cfg is not None:
-                ctx.candidates.append((node, cfg, _rsi_pairs(cfg),
-                                       _pinned_si(cfg, self.sys)))
-        return True
+    def _candidates(self, ctx: _FailedSetContext, reach: tuple):
+        """(node, state configuration), best first, for each node that a
+        source with reach key ``reach`` can reach and that has a state
+        configuration under ``ctx.fs``.  The list is kept per failed set
+        and reach key, and grown one reachable node at a time only as far
+        as the scans go."""
+        entry = ctx.candidates.get(reach)
+        if entry is None:
+            nodes = self._reach.get(reach)
+            if nodes is None:
+                nodes = self._reach[reach] = [
+                    node for node, (pairs, pinned) in self._needs
+                    if pairs <= reach[0] and pinned <= reach[1]]
+            entry = ctx.candidates[reach] = (iter(nodes), [])
+        unwalked, cands = entry
+        i = 0
+        while True:
+            if i == len(cands):
+                for node in unwalked:
+                    cfg = self._state(ctx, node)
+                    if cfg is not None:
+                        cands.append((node, cfg))
+                        break
+                else:
+                    return
+            yield cands[i]
+            i += 1
 
     def _next_bursts(self, ctx: _FailedSetContext) -> list:
         if ctx.bursts is None:
@@ -351,9 +369,10 @@ class Synthesizer:
         the burst that leads to ``fs2``, as (node, witness actions); None
         when there is none.
 
-        Candidates arrive quality-sorted, so the first hit is the best one.
-        Per candidate, the source-independent resilience verdict (memoized
-        and shared by every state that explores this failed set) is checked
+        Candidates arrive quality-sorted, so the first hit is the best one,
+        and only nodes the source can reach are candidates.  Per
+        candidate, the source-independent resilience verdict (memoized and
+        shared by every state that explores this failed set) is checked
         before the source-specific reconfiguration relation; dead-end states
         then cost almost nothing beyond the failed verdicts already paid
         for.  A relation hit must also admit a concrete witness sequence:
@@ -366,36 +385,23 @@ class Synthesizer:
         hit = ctx.succ.get(key, _MISSING)
         if hit is not _MISSING:
             return hit
-        src_pairs = _rsi_pairs(src)
-        src_si = frozenset(src.si)
         found = None
-        cands = ctx.candidates
-        segment = cands
-        while found is None:
-            for node2, cfg2, pairs, pinned in segment:
-                if not (pairs <= src_pairs and pinned <= src_si):
+        for node2, cfg2 in self._candidates(ctx, _reach_key(src, self.sys)):
+            if recursive:
+                if not self.resilient_node(node2, fs2):
                     continue
-                if recursive:
-                    if not self.resilient_node(node2, fs2):
-                        continue
-                elif not avail(self.req.crit_fns, cfg2, fs2, self.sys):
-                    continue
-                if not can_reconfigure(src, cfg2, fs2, self.sys,
-                                       assume_target_valid=True):
-                    continue
-                try:
-                    actions = derive_actions(src, cfg2, fs2, self.sys,
-                                             relation_checked=True)
-                except NoWitnessError:
-                    continue
-                found = (node2, actions)
-                break
-            else:
-                # The scan ran past the candidates built so far.
-                scanned = len(cands)
-                if not self._grow_candidates(ctx):
-                    break
-                segment = cands[scanned:]
+            elif not avail(self.req.crit_fns, cfg2, fs2, self.sys):
+                continue
+            if not can_reconfigure(src, cfg2, fs2, self.sys,
+                                   assume_target_valid=True):
+                continue
+            try:
+                actions = derive_actions(src, cfg2, fs2, self.sys,
+                                         relation_checked=True)
+            except NoWitnessError:
+                continue
+            found = (node2, actions)
+            break
         ctx.succ[key] = found
         return found
 

@@ -13,6 +13,7 @@ members on the raw budgets (``oracle.plain_class_sizes``).
 """
 
 import json
+import operator
 import os
 import random
 import subprocess
@@ -22,8 +23,12 @@ import pytest
 
 import resilcfg
 from resilcfg import (
+    NoWitnessError,
     Synthesizer,
+    avail,
+    can_reconfigure,
     consistent,
+    derive_actions,
     fixtures,
     generate_init_configs,
     next_failed_sets,
@@ -33,6 +38,7 @@ from resilcfg import (
 )
 from resilcfg.enumeration import enumerate_classes, symmetric_memo_key
 from resilcfg.oracle import plain_class_sizes, relevant_configs
+from resilcfg.synthesis import _pinned_si, _rsi_pairs
 from conftest import FS0, random_model
 
 DRIVING = (fixtures.autonomous_driving_laptop,
@@ -156,39 +162,107 @@ def test_the_symmetric_key_sorts_each_computers_budgets_jointly():
     assert symmetric_memo_key(fixtures.unsat()[0]) is None
 
 
+@pytest.mark.parametrize("group", ["fixtures", "driving", "random"])
+def test_every_member_has_its_first_members_reach_key(group):
+    """The replicated pairs and the pinned instances, which decide what a
+    successor scan can reach, belong to a class's fixed part: the scan
+    reads them off the first member before any state configuration is
+    searched for."""
+    models = _models(group)
+    if group == "driving":
+        models.extend(builder(4) for builder in DRIVING)
+    for sys, req in models:
+        for cls in enumerate_classes(sys, req):
+            pairs, pinned = _rsi_pairs(cls.first), _pinned_si(cls.first, sys)
+            for member in cls.members():
+                assert _rsi_pairs(member) == pairs, cls.sig
+                assert _pinned_si(member, sys) == pinned, cls.sig
+
+
+def _first_live(members, sys):
+    def first_live(node, fs):
+        return next((m for m in members[node]
+                     if remove_dead(m, fs, sys) == m), None)
+    return first_live
+
+
 @pytest.mark.parametrize("models", [
     lambda: [builder(3) for builder in DRIVING],
     lambda: [random_model(random.Random(40 + i)) for i in range(20)],
 ], ids=["driving", "random"])
 def test_candidates_are_built_as_far_as_the_scans_reach(models):
-    """After a solve, every failed set's candidates are a prefix of the
-    eager list of (node, state configuration) over every node that has
-    one, and cover exactly the nodes reached so far; every state
-    configuration answered equals the reference scan's."""
+    """After a solve, each reach key's nodes are exactly the nodes whose
+    first member's key lies within it, in node order, and each failed
+    set's candidate list for a key is a prefix of the eager list of (node,
+    state configuration) over every one of those nodes that has one,
+    covering exactly the nodes walked so far; every state configuration
+    answered equals the reference scan's."""
     lazy = 0
     for sys, req in models():
         members, _ = _reference(sys, req)
+        first_live = _first_live(members, sys)
         syn = Synthesizer(sys, req)
         syn.solve()
 
-        def first_live(node, fs):
-            return next((m for m in members[node]
-                         if remove_dead(m, fs, sys) == m), None)
-
+        for (pairs, pinned), nodes in syn._reach.items():
+            assert nodes == [
+                node for node in syn._nodes
+                if _rsi_pairs(members[node][0]) <= pairs
+                and _pinned_si(members[node][0], sys) <= pinned]
         for fs, ctx in syn._contexts.items():
             states = {node: first_live(node, fs) for node in syn._nodes}
-            eager = [(node, states[node]) for node in syn._nodes
-                     if states[node] is not None]
-            built = [(node, cfg) for node, cfg, _, _ in ctx.candidates]
-            assert built == eager[:len(built)], fs
-            assert len(built) == sum(
-                states[node] is not None
-                for node in syn._nodes[:ctx.reached]), fs
+            for reach, (unwalked, built) in ctx.candidates.items():
+                nodes = syn._reach[reach]
+                eager = [(node, states[node]) for node in nodes
+                         if states[node] is not None]
+                assert built == eager[:len(built)], (fs, reach)
+                walked = len(nodes) - operator.length_hint(unwalked)
+                assert len(built) == sum(
+                    states[node] is not None
+                    for node in nodes[:walked]), (fs, reach)
+                lazy += len(built) < len(eager)
             for node, cfg in ctx.states.items():
                 assert cfg == states[node], (node, fs)
                 assert syn.state_config(node, fs) == cfg
-            lazy += len(built) < len(eager)
     assert lazy > 0
+
+
+@pytest.mark.parametrize("models", [
+    lambda: [builder(3) for builder in DRIVING],
+    lambda: [random_model(random.Random(40 + i)) for i in range(20)],
+], ids=["driving", "random"])
+def test_every_successor_is_the_reference_scans(models):
+    """Each successor a solve records equals the first hit of a scan over
+    every node, best first, that skips the targets needing a replicated
+    pair or a pinned instance the source lacks and reads the reference
+    state configurations."""
+    hits = 0
+    for sys, req in models():
+        members, _ = _reference(sys, req)
+        first_live = _first_live(members, sys)
+        syn = Synthesizer(sys, req)
+        syn.solve()
+        answers = [(fs, key, found) for fs, ctx in syn._contexts.items()
+                   for key, found in ctx.succ.items()]
+        hits += sum(found is not None for _, _, found in answers)
+        for fs, (src, recursive), found in answers:
+            expected = None
+            for node in syn._nodes:
+                cfg = first_live(node, fs)
+                if (cfg is None or not _rsi_pairs(cfg) <= _rsi_pairs(src)
+                        or not _pinned_si(cfg, sys) <= frozenset(src.si)
+                        or not can_reconfigure(src, cfg, fs, sys)):
+                    continue
+                if not (syn.resilient_node(node, fs) if recursive
+                        else avail(req.crit_fns, cfg, fs, sys)):
+                    continue
+                try:
+                    expected = (node, derive_actions(src, cfg, fs, sys))
+                except NoWitnessError:
+                    continue
+                break
+            assert found == expected, (fs, src, recursive)
+    assert hits > 0
 
 
 def test_a_full_solve_lists_no_member(monkeypatch):
@@ -226,3 +300,38 @@ def test_classes_do_not_depend_on_the_hash_seed():
     assert outs[0]["counts"] == [4332, 2607, 108, 63, 9]
     assert len(outs[0]["sigs"]) == len(outs[0]["firsts"]) == 108
     assert outs[0] == outs[1] == outs[2]
+
+
+_STEPWISE_CHILD = """
+import sys
+from resilcfg import Synthesizer, fixtures, modelio
+out = sys.argv[1]
+for name, builder in (("example1", fixtures.autonomous_driving_laptop),
+                      ("example2", fixtures.autonomous_driving_phone)):
+    raw = modelio.model_to_dict(*builder(3))
+    raw["failureModel"] = {"bounds": [{"hwType": "Computer", "fType": "crash",
+                                       "n": 2, "maxSimult": 1}],
+                           "maxSimult": 1}
+    result = Synthesizer(*modelio.model_from_dict(raw)).solve()
+    modelio.save_policy(result.policy, "%s/%s.policy.json" % (out, name))
+    modelio.save_report(result, "%s/%s.report.json" % (out, name),
+                        name + ".json")
+"""
+
+
+def test_stepwise_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two crashes one per burst make the successor scans run at failed
+    sets of one and two computers, whose candidate lists are kept per
+    frozenset reach key; the policy and report bytes are the same under
+    two hash seeds."""
+    import_root = os.path.dirname(os.path.dirname(resilcfg.__file__))
+    outs = []
+    for seed in ("1", "31337"):
+        subprocess.run(
+            [_python.executable, "-c", _STEPWISE_CHILD, str(tmp_path)],
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": import_root}, check=True)
+        outs.append({path.name: path.read_bytes()
+                     for path in sorted(tmp_path.iterdir())})
+    assert len(outs[0]) == 4
+    assert outs[0] == outs[1]

@@ -1,6 +1,7 @@
 """Resilience predicates, the solver, quality, and policies."""
 
 import dataclasses
+import gc
 import pathlib
 import random
 
@@ -35,7 +36,7 @@ from resilcfg import (
     verify_policy,
     worst_burst_schedules,
 )
-from resilcfg import fixtures
+from resilcfg import fixtures, modelio
 from resilcfg.synthesis import PolicyEntry, ReplayError
 from conftest import FS0, over_budget_root, random_model, tiny_config
 
@@ -441,3 +442,26 @@ def test_replay_rejects_a_start_that_overloads_its_host():
                   (Start(SwInst("BIG", "c0")),) + entry.actions)
     with pytest.raises(ReplayError, match="insufficient resources"):
         verify_policy(policy, sys, req)
+
+
+@pytest.mark.parametrize("quotient", ["full", "off"])
+def test_a_solved_model_is_freed_by_reference_counting(quotient, tmp_path):
+    """The whole path of ``resilcfg solve`` and ``resilcfg replay
+    --exhaustive`` leaves no reference cycle behind: with the cyclic
+    collector off, it finds nothing to collect afterwards."""
+    models = [fixtures.tiny(), fixtures.autonomous_driving_laptop(3),
+              fixtures.autonomous_driving_phone(3)]
+    models += [random_model(random.Random(i)) for i in range(20)]
+    policy_path, report_path = tmp_path / "p.json", tmp_path / "r.json"
+    gc.collect()
+    gc.disable()
+    try:
+        for sys, req in models:
+            result = Synthesizer(sys, req, quotient=quotient).solve()
+            modelio.save_policy(result.policy, policy_path)
+            modelio.save_report(result, report_path, "model.json")
+            del result
+            verify_policy(modelio.load_policy(policy_path), sys, req)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
