@@ -336,30 +336,23 @@ def enumerate_classes(sys: SystemModel, req: ResilienceRequirement,
         memo_key = symmetric_memo_key(sys)
     options = _placement_options(sys, req)
     crit_masks = _critical_masks(sys, req)
-    may_be_absent = [any(not hosts for _, _, hosts, _ in opts)
-                     for _, opts in options]
     # The options with instances, each with its replicated instances' part
     # of the signature, shared by every class that uses the option.
     present_opts = [[(si_set, rsi, hosts, tuple(map(_rsi_key, rsi)), init)
                      for si_set, rsi, hosts, init in opts if hosts]
                     for _, opts in options]
 
-    def presences(i, mask):
-        """Sets of present components as bitmasks, critical ones covered."""
-        if i == len(options):
-            if all(m & mask for m in crit_masks):
-                yield mask
-            return
-        if may_be_absent[i]:
-            yield from presences(i + 1, mask)
-        if present_opts[i]:
-            yield from presences(i + 1, mask | 1 << i)
-
+    # Per component, what it may add to a set of present components: no
+    # bit when it may be absent, its own bit when it may be present.
+    choices = [(0,) * any(not hosts for _, _, hosts, _ in opts)
+               + (1 << i,) * bool(present_opts[i])
+               for i, (_, opts) in enumerate(options)]
     classes = []
-    for mask in presences(0, 0):
-        classes.extend(_classes_with(mask, options, present_opts, sys,
-                                     memo_key))
-    presences = None  # it refers to itself: break the cycle
+    for bits in itertools.product(*choices):
+        mask = sum(bits)
+        if all(m & mask for m in crit_masks):
+            classes.extend(_classes_with(mask, options, present_opts, sys,
+                                         memo_key))
     classes.sort(key=lambda c: c.sig)
     return classes
 

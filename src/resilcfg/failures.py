@@ -90,9 +90,6 @@ class State:
     cfg: Config
     fs: FailedSet = EMPTY_FS
 
-    def key(self) -> tuple:
-        return (self.cfg.key(), fs_key(self.fs))
-
 
 def consistent(fs: FailedSet, fm: FailureModel, sys: SystemModel) -> bool:
     """Every failure matches a bound and no bound's count is exceeded."""

@@ -125,8 +125,10 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
       in the target, and its software is either ``startable`` or
       ``movable`` with a move accounted for by a live removed instance of
       the same software (each such instance can donate at most one move);
-    * each replica-set or primary change has a live reconfiguration quorum
-      of the old members; members may be added only for software whose
+    * each replica-set or primary change violates no clause of
+      ``_replica_change_fault``, the one statement of the clauses that
+      ``apply_action`` checks for a ``ChangeReps``: a live reconfiguration
+      quorum of the old members; members added only for software whose
       ``members_addable`` holds; all members (active) or the live new
       primary (passive) can run the software in the target.
     """
@@ -162,26 +164,36 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
 
     for r2 in target.rsi:
         r1 = src_rsi[r2.sw]
-        if r1.computers == r2.computers and r1.primary == r2.primary:
-            continue
-        proto = sys.protocol(r1.protocol)
-        need = quorum_size(proto.reconfig_q, len(r1.computers))
-        if sum(1 for m in r1.computers if live(m, fs, sys)) < need:
+        if r1 != r2 and _replica_change_fault(r1, r2, target, fs, sys, memo):
             return False
-        sw = sys.sw(r2.sw)
-        if not set(r2.computers) <= set(r1.computers):
-            if not sw.members_addable:
-                return False
-        if proto.active:
-            if not all(can_run(m, sw, target, fs, sys, memo)
-                       for m in r2.computers):
-                return False
-        else:
-            if not live(r2.primary, fs, sys):
-                return False
-            if not can_run(r2.primary, sw, target, fs, sys, memo):
-                return False
     return True
+
+
+def _replica_change_fault(old, new, cfg2: Config, fs: FailedSet,
+                          sys: SystemModel,
+                          memo: dict = None) -> Optional[str]:
+    """The first clause that changing replicated instance ``old`` into
+    ``new``, giving ``cfg2``, violates under ``fs``, in ``ActionRejected``'s
+    words; None when it violates none.  ``memo`` is passed to
+    ``can_run``."""
+    proto = sys.protocol(old.protocol)
+    need = quorum_size(proto.reconfig_q, len(old.computers))
+    if sum(1 for m in old.computers if live(m, fs, sys)) < need:
+        return "no live reconfiguration quorum"
+    sw = sys.sw(old.sw)
+    if not (sw.members_addable or set(new.computers) <= set(old.computers)):
+        return "cannot add members (software slow-starting or large state)"
+    if proto.active:
+        for m in new.computers:
+            if not can_run(m, sw, cfg2, fs, sys, memo):
+                return "member %s cannot run software" % m
+    elif new.primary is None or new.primary not in new.computers:
+        return "primary must be a member"
+    elif not live(new.primary, fs, sys):
+        return "primary not live"
+    elif not can_run(new.primary, sw, cfg2, fs, sys, memo):
+        return "primary cannot run software"
+    return None
 
 
 def apply_action(state: State, action, sys: SystemModel) -> State:
@@ -194,8 +206,10 @@ def apply_action(state: State, action, sys: SystemModel) -> State:
     of its new host, and a membership change those of the added members;
     a passive one also checks that the added members are compatible
     (clause "resulting configuration invalid"), which ``can_run`` covers
-    for active members.  ``oracle.naive_apply_action`` is the reference
-    that checks the whole result.
+    for active members.  The other clauses of a membership change are
+    ``_replica_change_fault``'s, which ``can_reconfigure`` shares.
+    ``oracle.naive_apply_action`` is the reference that checks the whole
+    result.
     """
     cfg, fs = state.cfg, state.fs
     if isinstance(action, Stop):
@@ -286,25 +300,12 @@ def _apply_change_reps(cfg, fs, action, sys):
     added = [m for m in new.computers if m not in r.computers]
     if not all(_fits(m, cfg2, sys) for m in added):
         raise ActionRejected(action, "insufficient resources")
-    need = quorum_size(proto.reconfig_q, len(r.computers))
-    if sum(1 for m in r.computers if live(m, fs, sys)) < need:
-        raise ActionRejected(action, "no live reconfiguration quorum")
-    if added and not sw.members_addable:
-        raise ActionRejected(action, "cannot add members "
-                                     "(software slow-starting or large state)")
-    if proto.active:
-        for m in new.computers:
-            if not can_run(m, sw, cfg2, fs, sys):
-                raise ActionRejected(action, "member %s cannot run software" % m)
-    else:
-        if new.primary is None or new.primary not in new.computers:
-            raise ActionRejected(action, "primary must be a member")
-        if not live(new.primary, fs, sys):
-            raise ActionRejected(action, "primary not live")
-        if not can_run(new.primary, sw, cfg2, fs, sys):
-            raise ActionRejected(action, "primary cannot run software")
-        if not all(model.compatible(sw, sys.computer(m)) for m in added):
-            raise ActionRejected(action, "resulting configuration invalid")
+    fault = _replica_change_fault(r, new, cfg2, fs, sys)
+    if fault is not None:
+        raise ActionRejected(action, fault)
+    if not proto.active and not all(model.compatible(sw, sys.computer(m))
+                                    for m in added):
+        raise ActionRejected(action, "resulting configuration invalid")
     return cfg2
 
 

@@ -50,8 +50,9 @@ from .reconfig import (
     can_reconfigure,
     derive_actions,
 )
-from .enumeration import ResilienceRequirement, enumerate_classes
-from .quotient import CanonicalSignature, signature
+from .enumeration import (
+    QuotientClass, ResilienceRequirement, enumerate_classes)
+from .quotient import signature
 # These three are not called here, but the benchmark's layer tracer
 # (``perfbench/tracer.py``) patches these names in this module.
 from .enumeration import (  # noqa: F401
@@ -169,15 +170,17 @@ class Synthesizer:
 
     ``build`` enumerates the classes of relevant configurations without
     listing their members (``enumeration.enumerate_classes``).
+    Every search node stands for a class (``enumeration.QuotientClass``).
     ``quotient`` selects how much of the class reduction to use, and decides
-    only what a search node is and which nodes are roots.  With "full" a
+    only the list of nodes and which of them are roots.  With "full" a
     node is a class signature standing for the class members, and the roots
     are the initial classes.  With "off" and "partial" a node is a
-    configuration standing for itself; "off" roots every initial
-    configuration, "partial" only the first member of each initial class.
-    Everything else runs the same way in every mode.  ``all_classes``,
-    ``all_cfgs`` and ``init_cfgs`` list the members after ``build``; they
-    are expanded when first read, and a "full" solve reads none of them.
+    configuration, kept as a class of one labelled with its class's
+    signature; "off" roots every initial configuration, "partial" only the
+    first member of each initial class.  Everything else runs the same way
+    in every mode.  ``all_classes``, ``all_cfgs`` and ``init_cfgs`` list
+    the members after ``build``; they are expanded when first read, and a
+    "full" solve reads none of them.
     """
 
     def __init__(self, sys: SystemModel, req: ResilienceRequirement,
@@ -192,7 +195,7 @@ class Synthesizer:
         # computer -> its bit, in the host order of enumeration's masks
         self._bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
         self._states = {}    # failed-computer bits -> {node: state config}
-        self._class_of = {}  # signature -> class, in "full"
+        self._class_of = {}  # node -> its class
         self._contexts = {}  # failed set -> _FailedSetContext
         self._reach = {}     # reach key -> the nodes it reaches
         self.generate_seconds = 0.0
@@ -207,17 +210,17 @@ class Synthesizer:
         self.init_sigs = {cls.sig for cls in self.classes if cls.initial}
         if self.quotient == "full":
             self._class_of = {cls.sig: cls for cls in self.classes}
-            firsts = {cls.sig: cls.first for cls in self.classes}
             roots = self.init_sigs
         else:
-            self._sig_of = {cfg: sig for sig, members
-                            in self.all_classes.items() for cfg in members}
-            firsts = {cfg: cfg for cfg in self.all_cfgs}
+            self._class_of = {cfg: QuotientClass(sig, cfg, (), (), (), 1)
+                              for sig, members in self.all_classes.items()
+                              for cfg in members}
             roots = (set(self.init_cfgs) if self.quotient == "off" else
                      {self.all_classes[sig][0] for sig in self.init_sigs})
         # A node's first member is its state configuration at every failed
         # set that fails no computer.
-        self._states[0] = firsts
+        firsts = self._states[0] = {node: cls.first for node, cls
+                                    in self._class_of.items()}
 
         def node_order_key(node):
             first = firsts[node]
@@ -252,13 +255,12 @@ class Synthesizer:
     def state_config(self, node, fs: FailedSet) -> Optional[Config]:
         """The deterministic concrete configuration explored for ``node``.
 
-        With full quotienting a node is a signature and its state
-        configuration is the first class member, in key order, that carries
-        no dead instances under ``fs``; otherwise the node is the
-        configuration itself, if it carries none.  Which instances are dead
-        depends only on the computers ``fs`` fails, so the answers are kept
-        in one dict per bitmask of failed computers, each computed when
-        first asked for.
+        It is the first member of the node's class, in key order, that
+        carries no dead instances under ``fs``; with "off" and "partial" the
+        class has one member, the node's configuration.  Which instances
+        are dead depends only on the computers ``fs`` fails, so the answers
+        are kept in one dict per bitmask of failed computers, each computed
+        when first asked for.
         """
         return self._state(self._context(fs), node)
 
@@ -266,22 +268,14 @@ class Synthesizer:
         states = ctx.states
         cfg = states.get(node, _MISSING)
         if cfg is _MISSING:
-            fs = ctx.fs
-            if self.quotient != "full":
-                cfg = node if remove_dead(node, fs, self.sys) is node else None
-            else:
-                # A search, because relocatable software is startable,
-                # never survives host loss and so must sit on live
-                # computers.
-                cls = self._class_of[node]
-                fixed = cls.fixed
-                cfg = (cls.first_member(ctx.dead)
-                       if remove_dead(fixed, fs, self.sys) is fixed else None)
-            states[node] = cfg
+            # A search, because relocatable software is startable, never
+            # survives host loss and so must sit on live computers.
+            cls = self._class_of[node]
+            fixed = cls.fixed
+            cfg = states[node] = (
+                cls.first_member(ctx.dead)
+                if remove_dead(fixed, ctx.fs, self.sys) is fixed else None)
         return cfg
-
-    def _sig_of_node(self, node) -> CanonicalSignature:
-        return node if self.quotient == "full" else self._sig_of[node]
 
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)
@@ -444,7 +438,7 @@ class Synthesizer:
 
         resilient_list = []
         for node in accepted:
-            sig = self._sig_of_node(node)
+            sig = self._class_of[node].sig
             cfg = self.state_config(node, EMPTY_FS)
             resilient_list.append((sig, quality(cfg, self.sys), cfg))
 
@@ -481,7 +475,7 @@ class Synthesizer:
         policy = Policy()
         stack = []
         for node in accepted_roots:
-            sig = self._sig_of_node(node)
+            sig = self._class_of[node].sig
             if sig not in policy.roots:
                 cfg = policy.roots[sig] = self.state_config(node, EMPTY_FS)
                 stack.append((node, EMPTY_FS, cfg))

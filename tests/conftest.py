@@ -20,6 +20,7 @@ from resilcfg import (
     SwInst,
     Synthesizer,
     SystemModel,
+    next_failed_sets,
     remove_dead,
     rep_inst,
 )
@@ -56,10 +57,28 @@ def tiny_config(loc_host="c0", plan_members=("c0", "c1"), plan_primary="c0",
     return Config.make(si, rsi)
 
 
+def tiny_raw() -> dict:
+    """The tiny model as a model-file dict."""
+    return modelio.model_to_dict(*fixtures.tiny())
+
+
+def raw_paths(obj, prefix=()):
+    """The path of every value inside ``obj``, as tuples of keys/indices."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, val in items:
+        yield prefix + (key,)
+        yield from raw_paths(val, prefix + (key,))
+
+
 def power_chain_model(n: int) -> dict:
     """The tiny model as a model-file dict, with devices ``p0``...``p<n-1>``,
     each powered by the next, and ``c0`` powered by ``p0``."""
-    raw = modelio.model_to_dict(*fixtures.tiny())
+    raw = tiny_raw()
     raw["system"]["devices"] += [
         {"id": "p%d" % i, "deviceType": "psu",
          "power": ["p%d" % (i + 1)] if i + 1 < n else []} for i in range(n)]
@@ -70,6 +89,18 @@ def power_chain_model(n: int) -> dict:
 FS0 = frozenset()
 FS_C0 = frozenset({"c0"})
 FS_C1 = frozenset({"c1"})
+
+
+def reachable_failed_sets(req, sys):
+    """Every consistent failed set ``next_failed_sets`` reaches from the
+    empty set."""
+    seen, frontier = {FS0}, [FS0]
+    while frontier:
+        for fs2 in next_failed_sets(req.fm, frontier.pop(), sys):
+            if fs2 not in seen:
+                seen.add(fs2)
+                frontier.append(fs2)
+    return sorted(seen, key=sorted)
 
 
 def over_budget_root(sys, req):
@@ -204,6 +235,20 @@ def random_model(rng: random.Random, max_computers=3, max_software=3,
     if not crit:
         crit = frozenset({rng.choice(sorted(provided))})
     return sys, ResilienceRequirement(fm=fm, crit_fns=crit)
+
+
+def model_group(group):
+    """The shipped fixtures, both driving models at scales 2 and 3, or 100
+    random models, as (system, requirement) pairs."""
+    if group == "fixtures":
+        return [builder() for builder in fixtures.BUILDERS.values()]
+    if group == "driving":
+        return [builder(scale)
+                for builder in (fixtures.autonomous_driving_laptop,
+                                fixtures.autonomous_driving_phone)
+                for scale in (2, 3)]
+    rng = random.Random(8)
+    return [random_model(rng) for _ in range(100)]
 
 
 def small_random_model(rng: random.Random, max_valid=6000, **kw):

@@ -13,6 +13,7 @@ from resilcfg import (
     Synthesizer,
     can_reconfigure,
     generate_all_configs,
+    is_unlimited_rate,
     load_model,
     remove_dead,
     save_model,
@@ -190,6 +191,7 @@ def test_criterion_8_one_resilience():
         for _ in range(100):
             sys_, req = random_model(rng, max_computers=2, max_software=2,
                                      rate_limited=False)
+            assert is_unlimited_rate(req.fm)
             syn = Synthesizer(sys_, req)
             syn.build()
             for sig in sorted(syn.init_sigs):
@@ -199,6 +201,7 @@ def test_criterion_8_one_resilience():
         for _ in range(100):
             sys_, req = random_model(rng, max_computers=2, max_software=2,
                                      rate_limited=True)
+            assert not is_unlimited_rate(req.fm)
             syn = Synthesizer(sys_, req)
             syn.build()
             for sig in sorted(syn.init_sigs):

@@ -11,14 +11,12 @@ checks that no solve, in any mode, signs a configuration.
 """
 
 import hashlib
-import random
 
 import pytest
 
 from resilcfg import (
     Config,
     Synthesizer,
-    fixtures,
     load_model,
     quotient,
     relocatable,
@@ -28,20 +26,8 @@ from resilcfg import (
 )
 from resilcfg.modelio import save_policy, save_report
 from resilcfg.synthesis import QUOTIENT_MODES
-from conftest import random_model
+from conftest import model_group
 from test_golden_outputs import FIXTURES, GOLDEN
-
-
-def _models(group):
-    if group == "fixtures":
-        return [builder() for builder in fixtures.BUILDERS.values()]
-    if group == "driving":
-        return [builder(scale)
-                for builder in (fixtures.autonomous_driving_laptop,
-                                fixtures.autonomous_driving_phone)
-                for scale in (2, 3)]
-    rng = random.Random(8)
-    return [random_model(rng) for _ in range(100)]
 
 
 def _relocatable_reference(sw, cfg, sys):
@@ -78,7 +64,7 @@ def _signature_reference(cfg, sys):
 @pytest.mark.parametrize("mode", QUOTIENT_MODES)
 @pytest.mark.parametrize("group", ["fixtures", "driving", "random"])
 def test_build_matches_per_configuration_references(group, mode):
-    for sys, req in _models(group):
+    for sys, req in model_group(group):
         syn = Synthesizer(sys, req, quotient=mode)
         syn.build()
 

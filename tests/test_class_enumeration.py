@@ -31,7 +31,6 @@ from resilcfg import (
     derive_actions,
     fixtures,
     generate_init_configs,
-    next_failed_sets,
     partition_members,
     remove_dead,
     signature,
@@ -39,19 +38,10 @@ from resilcfg import (
 from resilcfg.enumeration import enumerate_classes, symmetric_memo_key
 from resilcfg.oracle import plain_class_sizes, relevant_configs
 from resilcfg.synthesis import _pinned_si, _rsi_pairs
-from conftest import FS0, random_model
+from conftest import model_group, random_model, reachable_failed_sets
 
 DRIVING = (fixtures.autonomous_driving_laptop,
            fixtures.autonomous_driving_phone)
-
-
-def _models(group):
-    if group == "fixtures":
-        return [builder() for builder in fixtures.BUILDERS.values()]
-    if group == "driving":
-        return [builder(scale) for builder in DRIVING for scale in (2, 3)]
-    rng = random.Random(8)
-    return [random_model(rng) for _ in range(100)]
 
 
 def _reference(sys, req):
@@ -62,21 +52,9 @@ def _reference(sys, req):
             generate_init_configs(sys, req, universe))
 
 
-def _reachable_failed_sets(req, sys):
-    """Every consistent failed set ``next_failed_sets`` reaches from the
-    empty set."""
-    seen, frontier = {FS0}, [FS0]
-    while frontier:
-        for fs2 in next_failed_sets(req.fm, frontier.pop(), sys):
-            if fs2 not in seen:
-                seen.add(fs2)
-                frontier.append(fs2)
-    return sorted(seen, key=sorted)
-
-
 @pytest.mark.parametrize("group", ["fixtures", "driving", "random"])
 def test_classes_match_the_per_configuration_references(group):
-    for sys, req in _models(group):
+    for sys, req in model_group(group):
         members, init_cfgs = _reference(sys, req)
         classes = enumerate_classes(sys, req)
 
@@ -114,11 +92,11 @@ def test_state_config_is_the_first_member_a_scan_finds(group):
     """The search returns the first key-sorted member without dead
     instances, for every class under every reachable failed set."""
     found = {"first member": 0, "later member": 0, "none": 0}
-    for sys, req in _models(group):
+    for sys, req in model_group(group):
         members, _ = _reference(sys, req)
         syn = Synthesizer(sys, req)
         syn.build()
-        for fs in _reachable_failed_sets(req, sys):
+        for fs in reachable_failed_sets(req, sys):
             assert consistent(fs, req.fm, sys)
             for sig, group_members in members.items():
                 expected = next((m for m in group_members
@@ -139,7 +117,7 @@ def test_symmetric_count_equals_the_plain_count(group):
         models = [builder(scale) for builder in DRIVING
                   for scale in range(2, 8)]
     else:
-        models = _models(group)
+        models = model_group(group)
     symmetric = []
     for sys, req in models:
         classes = enumerate_classes(sys, req)
@@ -168,7 +146,7 @@ def test_every_member_has_its_first_members_reach_key(group):
     successor scan can reach, belong to a class's fixed part: the scan
     reads them off the first member before any state configuration is
     searched for."""
-    models = _models(group)
+    models = model_group(group)
     if group == "driving":
         models.extend(builder(4) for builder in DRIVING)
     for sys, req in models:

@@ -1,10 +1,13 @@
 """Pinned outputs: the policy and report files and the verify count of every
-shipped fixture, in the two quotient modes whose policies are class-keyed.
+shipped fixture, in every quotient mode.  A fixture's policy is the same
+file in every mode.  Its report is not: the report names the mode, and with
+"off" it lists every resilient initial configuration.
 
 A refactor of the solver core must leave these bytes alone.  A change that
 alters them on purpose (a new policy format, say) updates the digests here
 in the same commit and says why.  The policy digests are those of policy
-format version 3; the report digests and verify counts predate it.
+format version 3; the report digests and verify counts of "partial" and
+"full" predate it.
 """
 
 import hashlib
@@ -20,6 +23,10 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 # (fixture, quotient) -> (SHA-256 of the policy file, SHA-256 of the report
 # file written with model path "fixtures/<fixture>.json", verify count)
 GOLDEN = {
+    ("example1", "off"): (
+        "1d6d9cfae731b805b41660f0111f223e678d473960ab0b35f2ed7104f4471a15",
+        "7e23e96b1f17b0424bb2a0f1fdc228b810b5f54338ed02b5c9e13f54d866e07a",
+        27),
     ("example1", "partial"): (
         "1d6d9cfae731b805b41660f0111f223e678d473960ab0b35f2ed7104f4471a15",
         "787b877d551dc6d91f132b6114e1b979a03bf2aca5c358e4b2096096cc79a86d",
@@ -28,6 +35,10 @@ GOLDEN = {
         "1d6d9cfae731b805b41660f0111f223e678d473960ab0b35f2ed7104f4471a15",
         "666ba6aadc4a75d4c6183b05a9f116f0814501c8e105931a0e2656c189caa718",
         27),
+    ("example2", "off"): (
+        "98f0b7f68bebac92af353be86cc8d78d5fc58b7d5d30e0a3ec98855d996c13c6",
+        "9c5a50e520925918589d6a155d827e3109a568bb2c7bd107ddd83311e4e870e7",
+        18),
     ("example2", "partial"): (
         "98f0b7f68bebac92af353be86cc8d78d5fc58b7d5d30e0a3ec98855d996c13c6",
         "3df994f2422cdaf9bb416338878e00b74b3c9cf38b625140a5fcd13aa9eb9c61",
@@ -36,6 +47,10 @@ GOLDEN = {
         "98f0b7f68bebac92af353be86cc8d78d5fc58b7d5d30e0a3ec98855d996c13c6",
         "8ee41b046858d8bdb5aae66dec671b56f8fda6bdfa11d370bb026fb3048d4fbc",
         18),
+    ("tiny", "off"): (
+        "3fa77e0dd31ee11dbf5b88bb704d422a21747222126b8c69e66879a39f4ab26c",
+        "28984ff9c2c81c378f86f72b60be3a95770be407f0801675aa414e2fa09b4d09",
+        2),
     ("tiny", "partial"): (
         "3fa77e0dd31ee11dbf5b88bb704d422a21747222126b8c69e66879a39f4ab26c",
         "3698262e8fac67b39630e772b79acf78a9647a7af3b1a35df9eed4a4a018c292",
@@ -44,6 +59,10 @@ GOLDEN = {
         "3fa77e0dd31ee11dbf5b88bb704d422a21747222126b8c69e66879a39f4ab26c",
         "886e491585eeb7077040418ec65cdbef0db5925eb41a230480e6db7c055bf323",
         2),
+    ("unsat", "off"): (
+        "229843079371b338f190ef567a458480e52af1d6c5d595421992c58afbbd6aa8",
+        "eb6125b1eb521a7bb9740fbd1ae7b1a181d1b13fe489df4f0804e859a62f34cb",
+        0),
     ("unsat", "partial"): (
         "229843079371b338f190ef567a458480e52af1d6c5d595421992c58afbbd6aa8",
         "15cba28f7b42aab8c3fa9499887ac989df8a4ee5b681ac7f60af71870a2fdcbc",

@@ -24,7 +24,8 @@ from resilcfg import (
 from resilcfg.availability import avail
 from resilcfg import fixtures, modelio
 from resilcfg.cli import main
-from conftest import over_budget_root, power_chain_model, random_model
+from conftest import (over_budget_root, power_chain_model, random_model,
+                      tiny_raw)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -400,16 +401,12 @@ def test_cli_replay_rejected_action_is_one_line(tmp_path, capsys, how):
     assert err.count("\n") == 1
 
 
-def _tiny_raw():
-    return modelio.model_to_dict(*fixtures.tiny())
-
-
 @pytest.mark.parametrize("section, key", [
     ("system", "computers"), ("system", "devices"), ("system", "software"),
     ("system", "protocols"), ("failureModel", "bounds"),
 ])
 def test_load_rejects_non_object_entries(tmp_path, capsys, section, key):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     raw[section][key] = [7]
     with pytest.raises(ModelLoadError, match="entry 0 of '%s'" % key):
         modelio.model_from_dict(raw)
@@ -429,7 +426,7 @@ def test_load_rejects_non_object_entries(tmp_path, capsys, section, key):
     (("failureModel",), "maxSimult"),
 ])
 def test_load_rejects_booleans_for_integers(where, key):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     obj = raw
     for step in where:
         obj = obj[step]
@@ -445,7 +442,7 @@ def test_load_rejects_booleans_for_integers(where, key):
     (("system", "software", 0), "cores", "2", "str, expected int"),
 ])
 def test_load_names_the_types_a_field_may_have(where, key, value, expected):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     obj = raw
     for step in where:
         obj = obj[step]
@@ -666,7 +663,7 @@ def test_cli_replay_checks_the_roots_when_no_burst_is_possible(tmp_path,
                                                               capsys):
     """A failure model that allows no burst leaves no schedule to replay,
     but every root is still checked."""
-    raw = _tiny_raw()
+    raw = tiny_raw()
     raw["failureModel"] = {"bounds": [{"hwType": "Computer", "fType": "crash",
                                        "n": 0, "maxSimult": 0}],
                            "maxSimult": 0}

@@ -13,14 +13,11 @@ import sys as _python
 import pytest
 
 import resilcfg
-from resilcfg import ModelError, fixtures, modelio
+from resilcfg import ModelError, modelio
 from resilcfg.cli import main
+from conftest import tiny_raw
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _tiny_raw():
-    return modelio.model_to_dict(*fixtures.tiny())
 
 
 def test_each_record_table_has_one_row_per_init_field():
@@ -61,7 +58,7 @@ def _optional_fields():
     ids=lambda v: v if isinstance(v, str) else "")
 def test_every_optional_field_round_trips_at_a_non_default_value(
         section, key, field, typ, default):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     entry = raw[section][key][-1]
     entry[field] = _non_default(typ, default, entry.get("id"))
     if field == "persisState":
@@ -77,7 +74,7 @@ def test_every_optional_field_round_trips_at_a_non_default_value(
 def test_required_fields_are_the_rows_without_a_default():
     for (section, key), rec in modelio.RECORDS.items():
         for field, _, _, default in rec.fields:
-            raw = _tiny_raw()
+            raw = tiny_raw()
             del raw[section][key][0][field]
             try:
                 modelio.model_from_dict(raw)
@@ -110,7 +107,7 @@ DUPLICATES = [("computers", 0, "ram"), ("devices", 0, "deviceType"),
                          ids=[d[0] for d in DUPLICATES])
 def test_duplicate_ids_within_a_kind_are_rejected(key, index, field,
                                                   altered):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     records = raw["system"][key]
     twin = copy.deepcopy(records[index])
     if altered:
@@ -125,7 +122,7 @@ def test_duplicate_ids_within_a_kind_are_rejected(key, index, field,
 
 
 def test_duplicate_ids_across_kinds_are_rejected():
-    raw = _tiny_raw()
+    raw = tiny_raw()
     raw["system"]["devices"][0]["id"] = "PLAN"
     raw["system"]["protocols"][0]["id"] = "c1"
     with pytest.raises(ModelError,
@@ -135,7 +132,7 @@ def test_duplicate_ids_across_kinds_are_rejected():
 
 def test_cli_validate_rejects_duplicate_software_in_one_line(tmp_path,
                                                              capsys):
-    raw = _tiny_raw()
+    raw = tiny_raw()
     twin = dict(raw["system"]["software"][0], ram=1)
     raw["system"]["software"].append(twin)
     path = tmp_path / "dup.json"
@@ -161,9 +158,9 @@ for raw in json.loads(sys.stdin.read()):
 
 
 def test_messages_do_not_depend_on_the_hash_seed():
-    unprovided = _tiny_raw()
+    unprovided = tiny_raw()
     unprovided["critFns"] += ["zeta", "beta", "alpha", "gamma"]
-    unpowered = _tiny_raw()
+    unpowered = tiny_raw()
     unpowered["system"]["computers"][0]["power"] = ["ghostC", "ghostA",
                                                     "ghostB"]
     stdin = json.dumps([unprovided, unpowered])

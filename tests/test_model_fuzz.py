@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from resilcfg import ModelError, SystemModel, fixtures
 from resilcfg.modelio import model_from_dict, model_to_dict
+from conftest import raw_paths
 
 # The field names and enumerated values of model files, so that generated
 # objects reach past the top-level checks.
@@ -33,19 +34,6 @@ FIXTURES = [model_to_dict(*builder())
             for builder in fixtures.BUILDERS.values()]
 
 
-def _paths(obj, prefix=()):
-    """The path of every value inside ``obj``, as tuples of keys/indices."""
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return
-    for key, val in items:
-        yield prefix + (key,)
-        yield from _paths(val, prefix + (key,))
-
-
 def _at(obj, path):
     """The value at ``path`` inside ``obj``."""
     for key in path:
@@ -53,7 +41,7 @@ def _at(obj, path):
     return obj
 
 
-PATHS = [sorted(_paths(raw), key=repr) for raw in FIXTURES]
+PATHS = [sorted(raw_paths(raw), key=repr) for raw in FIXTURES]
 # The paths of the records, the objects inside the model's lists.
 RECORD_PATHS = [[p for p in paths if isinstance(p[-1], int)
                  and isinstance(_at(raw, p), dict)]

@@ -15,6 +15,7 @@ from resilcfg import (
     load_policy,
 )
 from resilcfg.modelio import policy_to_dict
+from conftest import raw_paths
 
 # The field names of policy files, so that generated objects reach past the
 # top-level checks.
@@ -35,20 +36,7 @@ json_values = st.recursive(
 TINY = policy_to_dict(Synthesizer(*fixtures.tiny()).solve().policy)
 
 
-def _paths(obj, prefix=()):
-    """The path of every value inside ``obj``, as tuples of keys/indices."""
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return
-    for key, val in items:
-        yield prefix + (key,)
-        yield from _paths(val, prefix + (key,))
-
-
-PATHS = sorted(_paths(TINY), key=repr)
+PATHS = sorted(raw_paths(TINY), key=repr)
 
 
 @st.composite

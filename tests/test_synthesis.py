@@ -26,7 +26,6 @@ from resilcfg import (
     derive_actions,
     fs_key,
     load_model,
-    next_failed_sets,
     quality,
     remove_dead,
     rep_inst,
@@ -38,7 +37,8 @@ from resilcfg import (
 )
 from resilcfg import fixtures, modelio
 from resilcfg.synthesis import PolicyEntry, ReplayError
-from conftest import FS0, over_budget_root, random_model, tiny_config
+from conftest import (FS0, over_budget_root, random_model,
+                      reachable_failed_sets, tiny_config)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -180,19 +180,6 @@ def test_quality_of_example1_best_root():
 # -- state representatives and the verify walk ------------------------------
 
 
-def _reachable_failed_sets(req, sys):
-    """Every failed set some chain of bursts reaches from the empty one."""
-    seen = {FS0}
-    frontier = [FS0]
-    while frontier:
-        fs = frontier.pop()
-        for fs2 in next_failed_sets(req.fm, fs, sys):
-            if fs2 not in seen:
-                seen.add(fs2)
-                frontier.append(fs2)
-    return sorted(seen, key=lambda fs: sorted(fs))
-
-
 def test_state_config_is_the_first_member_without_dead_instances():
     """The loss-key index picks the member a scan with ``remove_dead``
     picks, in every quotient mode and under every reachable failed set."""
@@ -201,7 +188,7 @@ def test_state_config_is_the_first_member_without_dead_instances():
             "replicas lost, dropped": 0, "no representative": 0}
     for _ in range(200):
         sys, req = random_model(rng)
-        failed_sets = _reachable_failed_sets(req, sys)
+        failed_sets = reachable_failed_sets(req, sys)
         for fs in failed_sets:
             if fs and not fs & set(sys.computers):
                 seen["device only"] += 1
