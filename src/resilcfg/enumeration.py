@@ -141,11 +141,7 @@ def _software_options(sw: Software, sys: SystemModel, critical: bool, f: int):
     for si_set in si_sets:
         for r in rsi_opts:
             count = len(si_set) + (1 if r is not None else 0)
-            if single and count > 1:
-                continue
-            if not critical and count == 0:
-                opts.append((si_set, r))
-            elif count >= 1:
+            if (count or not critical) and not (single and count > 1):
                 opts.append((si_set, r))
     return opts
 

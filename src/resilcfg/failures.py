@@ -143,37 +143,20 @@ def worst_next_failed_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel) ->
 def _next_sets(fm: FailureModel, fs: FailedSet, sys: SystemModel,
                worst: bool) -> list:
     """The failed sets one burst beyond ``fs``, sorted by ``fs_key``; with
-    ``worst`` only those whose burst has the largest permitted size."""
+    ``worst`` only those whose burst has the largest permitted size.  A
+    burst is one product of per-slot combinations of at most each slot's
+    cap; slots hold disjoint hardware, so its size sums its parts' sizes."""
     if not consistent(fs, fm, sys):
         raise ModelError("failed set inconsistent with failure model")
     slots = _burst_slots(fm, fs, sys)
     total = sum(cap for _, cap in slots)
     if fm.max_simult is not None:
         total = min(total, fm.max_simult)
-    out = []
-    for sizes in _size_vectors(slots, total if worst else 1, total):
-        for burst in _bursts_of(slots, sizes):
-            out.append(fs | burst)
-    out.sort(key=fs_key)
-    return out
-
-
-def _size_vectors(slots, lo_total, hi_total):
-    """Per-slot burst sizes, each within its slot's cap, whose total is at
-    least 1 and within [lo_total, hi_total]."""
-    lo_total = max(lo_total, 1)
-    return [sizes for sizes in itertools.product(
-                *(range(cap + 1) for _, cap in slots))
-            if lo_total <= sum(sizes) <= hi_total]
-
-
-def _bursts_of(slots, sizes):
-    per_slot = []
-    for (cands, _), t in zip(slots, sizes):
-        per_slot.append([frozenset(combo)
-                         for combo in itertools.combinations(cands, t)])
-    for parts in itertools.product(*per_slot):
-        yield frozenset().union(*parts)
+    lo = max(total if worst else 1, 1)
+    combos = [[c for t in range(cap + 1)
+               for c in itertools.combinations(hw, t)] for hw, cap in slots]
+    return sorted((fs.union(*parts) for parts in itertools.product(*combos)
+                   if lo <= sum(map(len, parts)) <= total), key=fs_key)
 
 
 def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:

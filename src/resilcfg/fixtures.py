@@ -5,8 +5,9 @@ an autonomous-driving stack (perception, localization, planning, control,
 vehicle interface on quad-core ARM real-time computers with primary-backup
 replication) extended with, respectively, a Linux laptop carrying fallback
 planning/control builds and an Android phone carrying a manual-control
-fallback.  ``tiny`` is a two-computer model small enough for exhaustive
-oracles, and ``unsat`` admits no resilient configuration at all.
+fallback; both are built by ``_driving``.  ``tiny`` is a two-computer
+model small enough for exhaustive oracles, and ``unsat`` admits no
+resilient configuration at all.
 """
 
 from __future__ import annotations
@@ -54,8 +55,19 @@ def _rt_software(sid, fn, cores=1, devices=(), wired=False, resumable=True):
     )
 
 
-def _driving_core():
-    """The five preferred real-time components shared by both examples."""
+def _failure_model(n_fail: int) -> FailureModel:
+    return FailureModel(
+        bounds=(FailBound(hw_type="Computer", n=n_fail, max_simult=n_fail),),
+        max_simult=n_fail,
+    )
+
+
+def _driving(n_computers: int, extra_hw: list, extra_sw: list, crit_fns):
+    """The driving skeleton: ``n_computers`` embedded computers (all but one
+    may crash), the sensors, primary-backup and the five preferred real-time
+    components, plus ``extra_hw`` and ``extra_sw``."""
+    if n_computers < 2:
+        raise ValueError("need at least two embedded computers")
     perception = Software(
         id="perception", fn="perception", cores=2, ram=1024,
         devices=frozenset({"radar", "lidar", "camera"}),
@@ -65,7 +77,7 @@ def _driving_core():
         resumable=False,  # tracking/prediction state is lost on a crash
         single_instance=True,
     )
-    return [
+    core = [
         perception,
         _rt_software("localization", "localization",
                      devices=("gps", "imu", "camera")),
@@ -74,20 +86,16 @@ def _driving_core():
         # Talks to the vehicle's actuators over the wired bus.
         _rt_software("chassis-interface", "vehicle-interface", wired=True),
     ]
-
-
-def _failure_model(n_fail: int) -> FailureModel:
-    return FailureModel(
-        bounds=(FailBound(hw_type="Computer", n=n_fail, max_simult=n_fail),),
-        max_simult=n_fail,
-    )
+    sys = SystemModel(
+        hw=[_embedded(i) for i in range(n_computers)] + extra_hw + _sensors(),
+        sw=core + extra_sw, protocols=[PRIMARY_BACKUP], sync=True)
+    return sys, ResilienceRequirement(fm=_failure_model(n_computers - 1),
+                                      crit_fns=frozenset(crit_fns))
 
 
 def autonomous_driving_laptop(n_computers: int = 2):
     """Failover-to-laptop example; all five functionalities are critical.
     Of the ``n_computers`` embedded computers, all but one may crash."""
-    if n_computers < 2:
-        raise ValueError("need at least two embedded computers")
     laptop = Computer(id="laptop", os="linux", cpu_arch="x86-64",
                       cores=4, ram=16384, wired_nic=False, wifi_nic=True)
     linux_sw = [
@@ -98,43 +106,22 @@ def autonomous_driving_laptop(n_computers: int = 2):
                  os="linux", deterministic=False, fast_starting=True,
                  preferred=False, remote_use=True, resumable=True),
     ]
-    sys = SystemModel(
-        hw=[_embedded(i) for i in range(n_computers)] + [laptop] + _sensors(),
-        sw=_driving_core() + linux_sw,
-        protocols=[PRIMARY_BACKUP],
-        sync=True,
-    )
-    req = ResilienceRequirement(
-        fm=_failure_model(n_computers - 1),
-        crit_fns=frozenset({"perception", "localization", "planning",
-                            "control", "vehicle-interface"}),
-    )
-    return sys, req
+    return _driving(n_computers, [laptop], linux_sw,
+                    {"perception", "localization", "planning", "control",
+                     "vehicle-interface"})
 
 
 def autonomous_driving_phone(n_computers: int = 2):
     """Failover-to-human-operator example; vehicle interface is not critical.
     Of the ``n_computers`` embedded computers, all but one may crash."""
-    if n_computers < 2:
-        raise ValueError("need at least two embedded computers")
     phone = Computer(id="phone", os="android", cpu_arch=ARM,
                      cores=2, ram=4096, wired_nic=False, wifi_nic=True,
                      cellular=True)
     manual = Software(id="manual-control", fn="control", cores=1, ram=256,
                       os="android", deterministic=False, fast_starting=True,
                       preferred=False, remote_use=False, resumable=True)
-    sys = SystemModel(
-        hw=[_embedded(i) for i in range(n_computers)] + [phone] + _sensors(),
-        sw=_driving_core() + [manual],
-        protocols=[PRIMARY_BACKUP],
-        sync=True,
-    )
-    req = ResilienceRequirement(
-        fm=_failure_model(n_computers - 1),
-        crit_fns=frozenset({"perception", "localization", "planning",
-                            "control"}),
-    )
-    return sys, req
+    return _driving(n_computers, [phone], [manual],
+                    {"perception", "localization", "planning", "control"})
 
 
 def tiny():
@@ -158,9 +145,7 @@ def tiny():
     sys = SystemModel(hw=computers + [gps], sw=[loc, plan],
                       protocols=[PRIMARY_BACKUP], sync=True)
     req = ResilienceRequirement(
-        fm=FailureModel(bounds=(FailBound(hw_type="Computer", n=1,
-                                          max_simult=1),),
-                        max_simult=1),
+        fm=_failure_model(1),
         crit_fns=frozenset({"loc", "plan"}),
     )
     return sys, req
@@ -176,9 +161,7 @@ def unsat():
     sys = SystemModel(hw=[c0], sw=[solo], protocols=[PRIMARY_BACKUP],
                       sync=True)
     req = ResilienceRequirement(
-        fm=FailureModel(bounds=(FailBound(hw_type="Computer", n=1,
-                                          max_simult=1),),
-                        max_simult=1),
+        fm=_failure_model(1),
         crit_fns=frozenset({"solo"}),
     )
     return sys, req

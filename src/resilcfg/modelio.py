@@ -446,7 +446,10 @@ def action_from_obj(obj: dict):
     name = _get(obj, "type", str, "action")
     if name not in _ACTION_CODECS:
         raise ModelLoadError("unknown action type %r" % name)
-    return _ACTION_CODECS[name][2](obj)
+    action = _ACTION_CODECS[name][2](obj)
+    if isinstance(action, ChangeReps):  # rep_inst's member checks, on load
+        rep_inst(action.sw, "", action.computers, action.primary)
+    return action
 
 
 POLICY_VERSION = 3

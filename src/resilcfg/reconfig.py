@@ -368,6 +368,9 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
 
 def _diff_actions(cfg: Config, target: Config, fs: FailedSet,
                   sys: SystemModel) -> list:
+    """The difference actions from ``cfg`` to ``target`` in phase order.
+    Expects ``can_reconfigure`` to hold: its donor count leaves a live
+    removed instance for every new instance that is not startable."""
     tgt_si = set(target.si)
     src_si = set(cfg.si)
     added = sorted(tgt_si - src_si)
@@ -382,15 +385,12 @@ def _diff_actions(cfg: Config, target: Config, fs: FailedSet,
         if sw.startable:
             starts.append(Start(si))
             continue
-        # Not freshly startable: realize as a move of a live removed
-        # instance (moving needs both endpoints up).
-        donor = next((r for r in removed_free
-                      if r.sw == si.sw and live(r.computer, fs, sys)), None)
-        if donor is None:
-            starts.append(Start(si))  # will fail loudly during application
-        else:
-            removed_free.remove(donor)
-            moves.append(Move(donor, si.computer))
+        # A move of a live removed instance (both endpoints up); without
+        # one ``next`` raises instead of emitting a Start that cannot apply.
+        donor = next(r for r in removed_free
+                     if r.sw == si.sw and live(r.computer, fs, sys))
+        removed_free.remove(donor)
+        moves.append(Move(donor, si.computer))
 
     stops = [Stop(s) for s in removed_free]
     tgt_rsi = {r.sw: r for r in target.rsi}

@@ -12,6 +12,7 @@ from resilcfg import (
     FailBound,
     FailureModel,
     ModelError,
+    ResilienceRequirement,
     Software,
     State,
     SwInst,
@@ -26,7 +27,8 @@ from resilcfg import (
     worst_next_failed_sets,
 )
 from resilcfg.failures import fs_key
-from conftest import FS0, FS_C0, random_model, tiny_config
+from conftest import (FS0, FS_C0, random_model, reachable_failed_sets,
+                      tiny_config)
 
 
 def _sys(n_computers, devices=()):
@@ -139,6 +141,34 @@ def test_worst_equals_filtered_next_on_random_models():
             if not nxt:
                 break
             fs = rng.choice(nxt)
+
+
+def _two_slot_models():
+    """Models whose bursts may fail computers and devices together."""
+    for n, cap, global_cap, device_n in itertools.product(
+            (1, 2, 3), (None, 1, 2), (None, 1, 2, 3), (None, 1, 2, 3)):
+        if cap is None or cap <= n:
+            yield _fm(n, max_simult=cap, global_cap=global_cap,
+                      device_n=device_n)
+
+
+def test_two_slot_bursts_equal_brute_force_from_every_reachable_set():
+    devices = {"d0", "d1", "d2"}
+    sys = _sys(3, devices=sorted(devices))
+    pairs = mixed = 0
+    for fm in _two_slot_models():
+        req = ResilienceRequirement(fm=fm, crit_fns=frozenset())
+        for fs in reachable_failed_sets(req, sys):
+            nxt = next_failed_sets(fm, fs, sys)
+            assert nxt == brute_next_failed_sets(fm, fs, sys)
+            assert (worst_next_failed_sets(fm, fs, sys)
+                    == brute_worst(fm, fs, sys))
+            pairs += 1
+            mixed += any(len(b) > 2 and b & devices and b - devices
+                         for b in (fs2 - fs for fs2 in nxt))
+    # In 490 of the states a burst of three or more fails computers and
+    # devices together.
+    assert pairs == 4240 and mixed == 490
 
 
 def test_frozen_failure_state():

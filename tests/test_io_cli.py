@@ -373,6 +373,16 @@ def test_cli_replay_exhaustive_takes_no_root_or_schedule(
     assert err.count("\n") == 1
 
 
+def test_cli_replay_needs_a_schedule_or_exhaustive(tmp_path, capsys):
+    pol = _tiny_policy(tmp_path)
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol)]) == 2
+    err = capsys.readouterr().err
+    assert "replay needs --schedule or --exhaustive" in err
+    assert err.count("\n") == 1
+
+
 def _reject_first_action(pol):
     """Make the first action of every entry name an instance that is not
     there, so applying it raises ``ActionRejected``."""
@@ -518,6 +528,49 @@ def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
                  "--policy", str(pol), "--exhaustive"]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
+
+
+def _edit_change_reps(pol, **fields):
+    """Set ``fields`` on every ``changeReps`` action of the policy file."""
+    raw = json.loads(pol.read_text())
+    edited = [a for a in raw["actions"] if a["type"] == "changeReps"]
+    assert edited
+    for action in edited:
+        action.update(fields)
+    pol.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"computers": []}, "replicated instance of PLAN has no members"),
+    ({"computers": ["c1"], "primary": "c0"},
+     "primary c0 of PLAN is not a member"),
+], ids=["no-members", "primary-not-a-member"])
+def test_malformed_change_reps_is_rejected_on_load(tmp_path, capsys, fields,
+                                                   message):
+    pol = _tiny_policy(tmp_path)
+    _edit_change_reps(pol, **fields)
+    with pytest.raises(ModelLoadError) as info:
+        load_policy(pol)
+    assert str(info.value) == "%s: %s" % (pol, message)
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (pol, message)
+
+
+def test_change_reps_without_primary_loads_and_fails_replay(tmp_path,
+                                                            capsys):
+    """Whether a primary is needed depends on the protocol, which the model
+    holds: a null primary is a replay-time rejection."""
+    pol = _tiny_policy(tmp_path)
+    _edit_change_reps(pol, primary=None)
+    assert load_policy(pol).entries
+    capsys.readouterr()
+    assert main(["replay", "--model", str(FIXTURES / "tiny.json"),
+                 "--policy", str(pol), "--exhaustive"]) == 1
+    err = capsys.readouterr().err
+    assert "rejected: primary must be a member" in err
+    assert err.count("\n") == 1
 
 
 def _as_version_1(raw):

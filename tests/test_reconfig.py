@@ -29,6 +29,7 @@ from resilcfg import (
     valid_config,
 )
 from resilcfg.oracle import _enabled_actions, naive_apply_action
+from resilcfg.reconfig import describe_action
 from conftest import FS0, FS_C0, small_random_model, tiny_config
 
 
@@ -221,6 +222,27 @@ def test_apply_action_agrees_with_the_full_check_on_an_incompatible_member(
     assert "resulting configuration invalid" in clauses
 
 
+@pytest.mark.parametrize("action, clause", [
+    (StopRep("LOC"), "replicated instance not present"),
+    (Move(SwInst("PLAN", "c0"), "c1"), "instance not present"),
+    (ChangeReps("LOC", ("c0",), None), "replicated instance not present"),
+    (ChangeReps("PLAN", ("c0", "c1"), None), "primary must be a member"),
+], ids=["stopRep-absent", "move-absent", "changeReps-absent",
+        "changeReps-no-primary"])
+def test_apply_action_rejects_absent_instances_and_a_missing_primary(
+        tiny_sys, action, clause):
+    """Each clause is named alike by ``apply_action`` and by the reference
+    that checks the whole result, and the message describes the action."""
+    state = State(tiny_config(), FS0)
+    for apply in (apply_action, naive_apply_action):
+        with pytest.raises(ActionRejected) as exc:
+            apply(state, action, tiny_sys)
+        assert exc.value.clause == clause
+        assert str(exc.value) == "%s rejected: %s" % (
+            describe_action(action), clause)
+    assert describe_action(StopRep("LOC")) == "stopRep(LOC)"
+
+
 # -- witness derivation -----------------------------------------------------------
 
 
@@ -241,6 +263,16 @@ def test_derive_requires_relation(tiny_sys):
     target = tiny_config(plan_members=None, plan_si="c1")
     with pytest.raises(NoWitnessError):
         derive_actions(cfg, target, FS0, tiny_sys)
+
+
+def test_derive_without_a_donor_raises_rather_than_starting(tiny_sys):
+    """A new instance that is not startable is realized only as a move of
+    a live removed instance; when a caller claims the relation but none
+    exists, the derivation raises instead of emitting a ``Start``."""
+    cfg = tiny_config(plan_members=None)
+    target = tiny_config(plan_members=None, plan_si="c0")
+    with pytest.raises(StopIteration):
+        derive_actions(cfg, target, FS0, tiny_sys, relation_checked=True)
 
 
 def test_derive_replays_to_target(tiny_sys):

@@ -141,6 +141,28 @@ def test_policy_replay_detects_missing_entry(tiny_sys, tiny_req):
                         tiny_sys, tiny_req)
 
 
+def test_replay_of_a_signature_that_is_no_root_fails(tiny_sys, tiny_req):
+    res = Synthesizer(tiny_sys, tiny_req).solve()
+    with pytest.raises(ReplayError, match="^unknown policy root$"):
+        replay_schedule(res.policy, "other", [], tiny_sys, tiny_req)
+
+
+def test_an_entry_leaving_a_functionality_down_fails_verify_and_replay(
+        tiny_sys, tiny_req):
+    """An entry whose target is what the burst leaves alive replays its
+    (empty) action sequence, but the crash of ``c0`` took ``LOC`` down."""
+    policy = Synthesizer(tiny_sys, tiny_req).solve().policy
+    (sig, root), = policy.roots.items()
+    c0 = frozenset({"c0"})
+    policy.entries[(root, FS0, c0)] = PolicyEntry(
+        remove_dead(root, c0, tiny_sys), ())
+    message = "^critical functionality unavailable after reconfiguration$"
+    with pytest.raises(ReplayError, match=message):
+        verify_policy(policy, tiny_sys, tiny_req)
+    with pytest.raises(ReplayError, match=message):
+        replay_schedule(policy, sig, [c0], tiny_sys, tiny_req)
+
+
 def test_empty_roots_empty_policy(tiny_sys, tiny_req):
     syn = Synthesizer(tiny_sys, tiny_req)
     syn.build()
