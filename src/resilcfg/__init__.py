@@ -39,7 +39,7 @@ from .failures import (
     remove_dead,
     worst_next_failed_sets,
 )
-from .availability import avail, avail_dev, avail_on, live
+from .availability import avail, avail_dev, avail_on, can_run, live
 from .reconfig import (
     ActionRejected,
     ChangeReps,
@@ -50,7 +50,6 @@ from .reconfig import (
     StopRep,
     apply_action,
     can_reconfigure,
-    can_run,
     derive_actions,
 )
 from .enumeration import (

@@ -1,16 +1,18 @@
-"""Liveness and functionality availability under a failed set.
+"""Liveness, functionality availability and runnability under a failed set.
 
 A functionality is available on a computer when some instance providing it
 can actually serve that computer: the provider's host(s) are live, a
 progress quorum exists for replicated providers, remote use is allowed when
-the consumer sits elsewhere, and the provider's own functionality and device
-requirements are met recursively.  The recursion terminates because the
-functionality dependency graph is validated acyclic at model construction.
+the consumer sits elsewhere, and each providing host can run the provider.
+``can_run``, the one statement of what a host must provide, asks for
+compatibility and, recursively, every required functionality and device.
+The recursion terminates because the functionality dependency graph is
+validated acyclic at model construction.
 """
 
 from __future__ import annotations
 
-from .model import Config, Software, SystemModel, quorum_size
+from .model import Config, Software, SystemModel, compatible, quorum_size
 from .failures import FailedSet
 
 
@@ -50,9 +52,20 @@ def avail_dev(device_type: str, c: str, fs: FailedSet,
     return any(live(d, fs, sys) for d in sys.device_pool.get(device_type, ()))
 
 
-def devs_ok(sw: Software, c: str, fs: FailedSet, sys: SystemModel) -> bool:
-    """Every device ``sw`` needs is available on computer ``c``."""
-    return all(avail_dev(dt, c, fs, sys) for dt in sw.devices)
+def can_run(c: str, sw: Software, cfg: Config, fs: FailedSet,
+            sys: SystemModel, memo: dict = None) -> bool:
+    """Computer ``c`` can run ``sw`` in ``cfg``: it is compatible, and
+    every functionality and device ``sw`` requires is available on it.
+
+    Liveness of ``c`` is deliberately not required: a failed computer may be
+    added as a new replica member, which helps in states where the failure
+    budget is exhausted and the next event can only be a recovery.
+    ``memo`` is ``avail_on``'s, passed along its recursion.
+    """
+    if not compatible(sw, sys.computer(c)):
+        return False
+    return (all(avail_on(fn, c, cfg, fs, sys, memo) for fn in sw.fn_req)
+            and all(avail_dev(dt, c, fs, sys) for dt in sw.devices))
 
 
 def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
@@ -67,10 +80,6 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
     if hit is not None:
         return hit
 
-    def reqs_ok(sw, host):
-        return (all(avail_on(f2, host, cfg, fs, sys, memo) for f2 in sw.fn_req)
-                and devs_ok(sw, host, fs, sys))
-
     result = False
     for si in cfg.si:
         sw = sys.sw(si.sw)
@@ -80,7 +89,7 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
             continue
         if c != si.computer and not sw.remote_use:
             continue
-        if reqs_ok(sw, si.computer):
+        if can_run(si.computer, sw, cfg, fs, sys, memo):
             result = True
             break
     if not result:
@@ -95,7 +104,8 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
                 # the component's requirements; counting such members is
                 # equivalent to (and much cheaper than) enumerating quorums.
                 good = [m for m in rsi.computers
-                        if live(m, fs, sys) and reqs_ok(sw, m)]
+                        if live(m, fs, sys)
+                        and can_run(m, sw, cfg, fs, sys, memo)]
                 if len(good) >= need and (sw.remote_use or c in good):
                     result = True
                     break
@@ -109,7 +119,7 @@ def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,
                     continue
                 # Only the primary executes, so only the primary needs the
                 # required functionalities and devices.
-                if reqs_ok(sw, rsi.primary):
+                if can_run(rsi.primary, sw, cfg, fs, sys, memo):
                     result = True
                     break
     memo[key] = result

@@ -43,8 +43,8 @@ from .model import (
     rep_inst,
 )
 from .failures import EMPTY_FS, FailureModel
+from .availability import can_run
 from .quotient import CanonicalSignature, relocatable_among
-from .reconfig import can_run
 
 
 @dataclass(frozen=True)
@@ -250,13 +250,12 @@ class QuotientClass:
         member as its part of the bag, so the instances of one component
         form one block of equal length in every member's sorted ``si``, and
         comparing two members' keys compares these blocks in id order: the
-        walk's order.  A (slot, budgets) point that yields nothing is not
-        walked again."""
+        walk's order."""
         if not self.slots:
             yield self.fixed
             return
         built = self._built
-        for placed in _walk(self.slots, 0, self.cores, self.ram, dead, set()):
+        for placed in _walk(self.slots, 0, self.cores, self.ram, dead):
             cfg = built.get(placed)
             if cfg is None:
                 cfg = built[placed] = Config(
@@ -270,26 +269,19 @@ class QuotientClass:
         return next(self.members(dead), None)
 
 
-def _walk(slots, i, cores, ram, dead, dead_ends):
+def _walk(slots, i, cores, ram, dead):
     """The instances of slots ``i`` onwards on hosts outside ``dead`` and
-    within the budgets, in lexicographic order; ``dead_ends`` collects the
-    (slot, budgets) points that yield nothing."""
+    within the budgets, in lexicographic order."""
     if i == len(slots):
         yield ()
         return
-    if (i, cores, ram) in dead_ends:
-        return
     sw, combos = slots[i]
-    found = False
     for hosts, mask, insts in combos:
         left = None if mask & dead else _take(hosts, sw, cores, ram)
         if left is None:
             continue
-        for rest in _walk(slots, i + 1, *left, dead, dead_ends):
-            found = True
+        for rest in _walk(slots, i + 1, *left, dead):
             yield insts + rest
-    if not found:
-        dead_ends.add((i, cores, ram))
 
 
 def symmetric_memo_key(sys: SystemModel):

@@ -32,7 +32,7 @@ from .failures import (
     next_failed_sets,
     remove_dead,
 )
-from .availability import avail, live
+from .availability import avail, can_run, live
 from .reconfig import (
     ActionRejected,
     ChangeReps,
@@ -42,7 +42,6 @@ from .reconfig import (
     Stop,
     StopRep,
     can_reconfigure,
-    can_run,
     derive_actions,
 )
 from .enumeration import (

@@ -14,9 +14,9 @@ pairs coincide, so signature equality and the bijection definition agree.
 
 The solver signs no configuration: ``enumeration`` enumerates the classes
 directly, each with its signature, and every search node keeps the
-signature of its class.  ``signature`` and ``partition_members`` sign and
-group listed configurations, as the tests' reference for the class
-enumerator.
+signature of its class.  ``signature`` checks a replayed root against its
+label; with ``partition_members`` it signs and groups listed configurations
+as the tests' reference for the class enumerator.
 """
 
 from __future__ import annotations

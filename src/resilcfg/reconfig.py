@@ -4,7 +4,9 @@ direct characterization of the reconfiguration relation.
 ``can_reconfigure`` decides in one pass whether a target configuration is
 reachable from a source state, by constraining the differences between the
 two configurations; ``derive_actions`` then materializes a witness action
-sequence whose step-by-step application stays valid throughout.
+sequence whose step-by-step application stays valid throughout.  The
+relation and the actions read what a host must provide from
+``availability.can_run``.
 
 ``apply_action`` expects a valid source configuration and re-checks only
 what the action touches, so a valid source gives a valid result.  Its
@@ -30,7 +32,7 @@ from .model import (
     valid_config,
 )
 from .failures import FailedSet, State
-from .availability import avail_on, devs_ok, live
+from .availability import can_run, live
 from . import model
 
 
@@ -90,27 +92,6 @@ def describe_action(a) -> str:
     raise ModelError("unknown action %r" % (a,))
 
 
-def can_run(c: str, sw, cfg: Config, fs: FailedSet, sys: SystemModel,
-            memo: dict = None) -> bool:
-    """Computer ``c`` satisfies the requirements to run ``sw`` in ``cfg``.
-
-    Liveness of ``c`` is deliberately not required: a failed computer may be
-    added as a new replica member, which helps in states where the failure
-    budget is exhausted and the next event can only be a recovery.
-
-    ``memo`` is ``availability.avail_on``'s memo; it may be shared by calls
-    with the same configuration and failed set.
-    """
-    if not model.compatible(sw, sys.computer(c)):
-        return False
-    if memo is None:
-        memo = {}
-    for fn in sw.fn_req:
-        if not avail_on(fn, c, cfg, fs, sys, memo):
-            return False
-    return devs_ok(sw, c, fs, sys)
-
-
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
                     sys: SystemModel,
                     assume_target_valid: bool = False) -> bool:
@@ -122,9 +103,10 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
 
     * replicated instances are never created and never change protocol;
     * each new unreplicated instance is on a live computer that can run it
-      in the target, and its software is either ``startable`` or
-      ``movable`` with a move accounted for by a live removed instance of
-      the same software (each such instance can donate at most one move);
+      in the target (``availability.can_run``), and its software is either
+      ``startable`` or ``movable`` with a move accounted for by a live
+      removed instance of the same software (each such instance can donate
+      at most one move);
     * each replica-set or primary change violates no clause of
       ``_replica_change_fault``, the one statement of the clauses that
       ``apply_action`` checks for a ``ChangeReps``: a live reconfiguration
@@ -141,7 +123,6 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
         if r1 is None or r1.protocol != r2.protocol:
             return False
 
-    memo = {}
     src_si = set(cfg.si)
     tgt_si = set(target.si)
     # Move donors: live removed instances, each usable for one move.
@@ -159,23 +140,21 @@ def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
             if not (sw.movable and donors.get(si2.sw, 0) > 0):
                 return False
             donors[si2.sw] -= 1
-        if not can_run(si2.computer, sw, target, fs, sys, memo):
+        if not can_run(si2.computer, sw, target, fs, sys):
             return False
 
     for r2 in target.rsi:
         r1 = src_rsi[r2.sw]
-        if r1 != r2 and _replica_change_fault(r1, r2, target, fs, sys, memo):
+        if r1 != r2 and _replica_change_fault(r1, r2, target, fs, sys):
             return False
     return True
 
 
 def _replica_change_fault(old, new, cfg2: Config, fs: FailedSet,
-                          sys: SystemModel,
-                          memo: dict = None) -> Optional[str]:
+                          sys: SystemModel) -> Optional[str]:
     """The first clause that changing replicated instance ``old`` into
     ``new``, giving ``cfg2``, violates under ``fs``, in ``ActionRejected``'s
-    words; None when it violates none.  ``memo`` is passed to
-    ``can_run``."""
+    words; None when it violates none."""
     proto = sys.protocol(old.protocol)
     need = quorum_size(proto.reconfig_q, len(old.computers))
     if sum(1 for m in old.computers if live(m, fs, sys)) < need:
@@ -185,13 +164,13 @@ def _replica_change_fault(old, new, cfg2: Config, fs: FailedSet,
         return "cannot add members (software slow-starting or large state)"
     if proto.active:
         for m in new.computers:
-            if not can_run(m, sw, cfg2, fs, sys, memo):
+            if not can_run(m, sw, cfg2, fs, sys):
                 return "member %s cannot run software" % m
     elif new.primary is None or new.primary not in new.computers:
         return "primary must be a member"
     elif not live(new.primary, fs, sys):
         return "primary not live"
-    elif not can_run(new.primary, sw, cfg2, fs, sys, memo):
+    elif not can_run(new.primary, sw, cfg2, fs, sys):
         return "primary cannot run software"
     return None
 
@@ -205,9 +184,10 @@ def apply_action(state: State, action, sys: SystemModel) -> State:
     Stops need no check.  A start or a move checks the core and RAM budget
     of its new host, and a membership change those of the added members;
     a passive one also checks that the added members are compatible
-    (clause "resulting configuration invalid"), which ``can_run`` covers
-    for active members.  The other clauses of a membership change are
-    ``_replica_change_fault``'s, which ``can_reconfigure`` shares.
+    (clause "resulting configuration invalid"), which
+    ``availability.can_run`` covers for active members.  The other clauses
+    of a membership change are ``_replica_change_fault``'s, which
+    ``can_reconfigure`` shares.
     ``oracle.naive_apply_action`` is the reference that checks the whole
     result.
     """

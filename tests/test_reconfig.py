@@ -28,6 +28,7 @@ from resilcfg import (
     rep_inst,
     valid_config,
 )
+from resilcfg import fixtures
 from resilcfg.oracle import _enabled_actions, naive_apply_action
 from resilcfg.reconfig import describe_action
 from conftest import FS0, FS_C0, small_random_model, tiny_config
@@ -54,6 +55,18 @@ def test_can_run_does_not_require_live_target(tiny_sys):
     # Failed computers may be prepared as future replica members.
     loc = tiny_sys.sw("LOC")
     assert can_run("c0", loc, Config(), FS_C0, tiny_sys)
+
+
+def test_can_run_rejects_incompatible_host():
+    sys, _ = fixtures.autonomous_driving_laptop(2)
+    planning = sys.sw("planning-linux")  # needs os linux; c0 runs the RTOS
+    assert not can_run("c0", planning, Config(), FS0, sys)
+    assert can_run("laptop", planning, Config(), FS0, sys)
+
+
+def test_can_run_rejects_required_device_down(tiny_sys):
+    loc = tiny_sys.sw("LOC")  # needs the only GPS, stand-alone g0
+    assert not can_run("c0", loc, Config(), frozenset({"g0"}), tiny_sys)
 
 
 # -- the relation -------------------------------------------------------------
