@@ -60,12 +60,15 @@ def can_run(c: str, sw: Software, cfg: Config, fs: FailedSet,
     Liveness of ``c`` is deliberately not required: a failed computer may be
     added as a new replica member, which helps in states where the failure
     budget is exhausted and the next event can only be a recovery.
-    ``memo`` is ``avail_on``'s, passed along its recursion.
+    ``memo`` is ``avail_on``'s, passed along its recursion.  The
+    requirements are tried in sorted order, so the work done before the
+    first miss does not follow the hash seed.
     """
     if not compatible(sw, sys.computer(c)):
         return False
-    return (all(avail_on(fn, c, cfg, fs, sys, memo) for fn in sw.fn_req)
-            and all(avail_dev(dt, c, fs, sys) for dt in sw.devices))
+    return (all(avail_on(fn, c, cfg, fs, sys, memo)
+                for fn in sorted(sw.fn_req))
+            and all(avail_dev(dt, c, fs, sys) for dt in sorted(sw.devices)))
 
 
 def avail_on(fn: str, c: str, cfg: Config, fs: FailedSet, sys: SystemModel,

@@ -174,7 +174,7 @@ def naive_resilient(cfg: Config, fs: FailedSet, req: ResilienceRequirement,
         if not can_reconfigure(src, cand, fs2, sys):
             return False
         try:
-            derive_actions(src, cand, fs2, sys, relation_checked=True)
+            derive_actions(src, cand, fs2, sys)
         except NoWitnessError:
             return False
         return True

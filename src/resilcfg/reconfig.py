@@ -1,12 +1,13 @@
 """Reconfiguration actions, their transition semantics, and the
 direct characterization of the reconfiguration relation.
 
-``can_reconfigure`` decides in one pass whether a target configuration is
-reachable from a source state, by constraining the differences between the
-two configurations; ``derive_actions`` then materializes a witness action
-sequence whose step-by-step application stays valid throughout.  The
-relation and the actions read what a host must provide from
-``availability.can_run``.
+``_difference`` is the one statement of the relation's clauses: it maps
+each difference between a source and a target configuration to the action
+that produces it, or finds a difference that no action produces.
+``can_reconfigure`` asks it whether a target is reachable in one pass, and
+``derive_actions`` orders its actions into a witness sequence whose
+step-by-step application stays valid throughout.  The relation and the
+actions read what a host must provide from ``availability.can_run``.
 
 ``apply_action`` expects a valid source configuration and re-checks only
 what the action touches, so a valid source gives a valid result.  Its
@@ -95,59 +96,83 @@ def describe_action(a) -> str:
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
                     sys: SystemModel,
                     assume_target_valid: bool = False) -> bool:
-    """The reconfiguration relation.
+    """The reconfiguration relation: the target is valid and every
+    difference from ``cfg`` is producible by some action (``_difference``).
 
     Expects ``cfg`` to be free of dead instances (callers apply
-    ``remove_dead`` after a failure burst first).  Holds when the target is
-    valid and every difference from ``cfg`` is producible by some action:
+    ``remove_dead`` after a failure burst first).
+    """
+    if not assume_target_valid and not valid_config(target, sys):
+        return False
+    return _difference(cfg, target, fs, sys) is not None
 
-    * replicated instances are never created and never change protocol;
-    * each new unreplicated instance is on a live computer that can run it
-      in the target (``availability.can_run``), and its software is either
-      ``startable`` or ``movable`` with a move accounted for by a live
-      removed instance of the same software (each such instance can donate
-      at most one move);
-    * each replica-set or primary change violates no clause of
+
+def _difference(cfg: Config, target: Config, fs: FailedSet,
+                sys: SystemModel) -> Optional[list]:
+    """The actions producing the differences from ``cfg`` to ``target``
+    under ``fs``, in phase order: stops, stopReps, shrinking membership
+    changes, moves, starts, growing membership changes.  None when some
+    difference has no action:
+
+    * a new replicated instance, or a protocol change;
+    * a new unreplicated instance on a dead computer;
+    * a new unreplicated instance whose software is not ``startable`` and
+      has no donor: a move needs ``movable`` software and a live removed
+      instance of it, taken in sorted order, each donating one move;
+    * a new unreplicated instance whose computer cannot run it in the
+      target (``availability.can_run``);
+    * a replica-set or primary change that violates a clause of
       ``_replica_change_fault``, the one statement of the clauses that
       ``apply_action`` checks for a ``ChangeReps``: a live reconfiguration
       quorum of the old members; members added only for software whose
       ``members_addable`` holds; all members (active) or the live new
       primary (passive) can run the software in the target.
     """
-    if not assume_target_valid and not valid_config(target, sys):
-        return False
-
     src_rsi = {r.sw: r for r in cfg.rsi}
     for r2 in target.rsi:
         r1 = src_rsi.get(r2.sw)
         if r1 is None or r1.protocol != r2.protocol:
-            return False
+            return None
 
     src_si = set(cfg.si)
     tgt_si = set(target.si)
-    # Move donors: live removed instances, each usable for one move.
-    donors = {}
-    for s in cfg.si:
-        if s not in tgt_si and live(s.computer, fs, sys):
-            donors[s.sw] = donors.get(s.sw, 0) + 1
-    for si2 in target.si:
-        if si2 in src_si:
+    removed = [s for s in cfg.si if s not in tgt_si]
+    moves, starts = [], []
+    for si in target.si:
+        if si in src_si:
             continue
-        sw = sys.sw(si2.sw)
-        if not live(si2.computer, fs, sys):
-            return False
-        if not sw.startable:
-            if not (sw.movable and donors.get(si2.sw, 0) > 0):
-                return False
-            donors[si2.sw] -= 1
-        if not can_run(si2.computer, sw, target, fs, sys):
-            return False
+        sw = sys.sw(si.sw)
+        if not live(si.computer, fs, sys):
+            return None
+        if sw.startable:
+            starts.append(Start(si))
+        else:
+            donor = next((r for r in removed
+                          if r.sw == si.sw and live(r.computer, fs, sys)),
+                         None) if sw.movable else None
+            if donor is None:
+                return None
+            removed.remove(donor)
+            moves.append(Move(donor, si.computer))
+        if not can_run(si.computer, sw, target, fs, sys):
+            return None
 
-    for r2 in target.rsi:
-        r1 = src_rsi[r2.sw]
-        if r1 != r2 and _replica_change_fault(r1, r2, target, fs, sys):
-            return False
-    return True
+    tgt_rsi = {r.sw: r for r in target.rsi}
+    stop_reps, shrinks, grows = [], [], []
+    for r1 in cfg.rsi:
+        r2 = tgt_rsi.get(r1.sw)
+        if r2 is None:
+            stop_reps.append(StopRep(r1.sw))
+        elif r1 != r2:
+            if _replica_change_fault(r1, r2, target, fs, sys):
+                return None
+            act = ChangeReps(r2.sw, r2.computers, r2.primary)
+            if set(r2.computers) <= set(r1.computers):
+                shrinks.append(act)
+            else:
+                grows.append(act)
+    return ([Stop(s) for s in removed] + stop_reps + shrinks + moves
+            + starts + grows)
 
 
 def _replica_change_fault(old, new, cfg2: Config, fs: FailedSet,
@@ -187,7 +212,7 @@ def apply_action(state: State, action, sys: SystemModel) -> State:
     (clause "resulting configuration invalid"), which
     ``availability.can_run`` covers for active members.  The other clauses
     of a membership change are ``_replica_change_fault``'s, which
-    ``can_reconfigure`` shares.
+    ``_difference`` shares.
     ``oracle.naive_apply_action`` is the reference that checks the whole
     result.
     """
@@ -293,25 +318,25 @@ def _apply_change_reps(cfg, fs, action, sys):
 
 
 def derive_actions(cfg: Config, target: Config, fs: FailedSet,
-                   sys: SystemModel, relation_checked: bool = False) -> tuple:
+                   sys: SystemModel) -> tuple:
     """An action sequence turning ``cfg`` into ``target`` under ``fs``.
 
-    A depth-first search over orderings of the difference actions.  At each
-    step it applies the first applicable action in the phase order
-    stop/stopRep, shrinking membership changes, moves, starts, growing
-    membership changes, so capacity is freed before it is consumed, and its
-    first descent is that phase order.  It backtracks only out of a dead
-    end, which dependencies can cause: a membership change may need a
-    provider that is itself being restarted.
+    A depth-first search over orderings of ``_difference``'s actions.  At
+    each step it applies the first applicable action in their phase order,
+    so capacity is freed before it is consumed, and its first descent is
+    that phase order.  It backtracks only out of a dead end, which
+    dependencies can cause: a membership change may need a provider that
+    is itself being restarted.
 
-    Raises ``NoWitnessError`` when the relation does not hold, or when every
-    ordering of the difference actions deadlocks (possible only with several
-    interlocking replica-membership changes, e.g. two replica sets swapping
-    hosts with no spare capacity anywhere).
+    Raises ``NoWitnessError`` when some difference has no action, or when
+    no ordering of the difference actions reaches the target: every action
+    keeps the configuration valid, so an invalid target is never reached,
+    and interlocking replica-membership changes can deadlock (e.g. two
+    replica sets swapping hosts with no spare capacity anywhere).
     """
-    if not relation_checked and not can_reconfigure(cfg, target, fs, sys):
+    pending = _difference(cfg, target, fs, sys)
+    if pending is None:
         raise NoWitnessError("reconfiguration relation does not hold")
-    pending = _diff_actions(cfg, target, fs, sys)
     order = []
     # A state is (configuration, bitmask of the pending actions left).  The
     # mask shrinks along a path and a success ends the search, so a state
@@ -344,52 +369,3 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
     finally:
         search = None  # it refers to itself: break the cycle
     return tuple(order)
-
-
-def _diff_actions(cfg: Config, target: Config, fs: FailedSet,
-                  sys: SystemModel) -> list:
-    """The difference actions from ``cfg`` to ``target`` in phase order.
-    Expects ``can_reconfigure`` to hold: its donor count leaves a live
-    removed instance for every new instance that is not startable."""
-    tgt_si = set(target.si)
-    src_si = set(cfg.si)
-    added = sorted(tgt_si - src_si)
-    removed = sorted(src_si - tgt_si)
-
-    actions = []
-    moves = []
-    starts = []
-    removed_free = list(removed)
-    for si in added:
-        sw = sys.sw(si.sw)
-        if sw.startable:
-            starts.append(Start(si))
-            continue
-        # A move of a live removed instance (both endpoints up); without
-        # one ``next`` raises instead of emitting a Start that cannot apply.
-        donor = next(r for r in removed_free
-                     if r.sw == si.sw and live(r.computer, fs, sys))
-        removed_free.remove(donor)
-        moves.append(Move(donor, si.computer))
-
-    stops = [Stop(s) for s in removed_free]
-    tgt_rsi = {r.sw: r for r in target.rsi}
-    stop_reps = [StopRep(r.sw) for r in cfg.rsi if r.sw not in tgt_rsi]
-    shrinks, grows = [], []
-    for r in cfg.rsi:
-        r2 = tgt_rsi.get(r.sw)
-        if r2 is None or (r.computers == r2.computers and r.primary == r2.primary):
-            continue
-        act = ChangeReps(r.sw, r2.computers, r2.primary)
-        if set(r2.computers) <= set(r.computers):
-            shrinks.append(act)
-        else:
-            grows.append(act)
-
-    actions.extend(stops)
-    actions.extend(stop_reps)
-    actions.extend(shrinks)
-    actions.extend(moves)
-    actions.extend(starts)
-    actions.extend(grows)
-    return actions

@@ -390,8 +390,7 @@ class Synthesizer:
                                    assume_target_valid=True):
                 continue
             try:
-                actions = derive_actions(src, cfg2, fs2, self.sys,
-                                         relation_checked=True)
+                actions = derive_actions(src, cfg2, fs2, self.sys)
             except NoWitnessError:
                 continue
             found = (node2, actions)

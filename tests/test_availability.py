@@ -242,3 +242,67 @@ def test_monotone_in_failures(tiny_sys):
             for fn in ("loc", "plan"):
                 if avail_on(fn, c, cfg, fs_big, tiny_sys):
                     assert avail_on(fn, c, cfg, fs_small, tiny_sys)
+
+
+_COUNT_AVAIL_ON_CALLS = '''
+from resilcfg import (Computer, FailBound, FailureModel, RepProtocol,
+                      ResilienceRequirement, Software, Synthesizer,
+                      SystemModel, availability)
+
+calls = 0
+real_avail_on = availability.avail_on
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return real_avail_on(*args)
+
+
+availability.avail_on = counted
+
+
+def sw(sid, fn, req=()):
+    return Software(id=sid, fn=fn, fn_req=frozenset(req),
+                    fast_starting=True, resumable=True, remote_use=True)
+
+
+# "d" needs "fc", served only through the chain c -> b -> a, and "fx",
+# which nothing provides: trying "fx" first skips the whole chain.
+sys = SystemModel(
+    hw=[Computer(id="c%d" % i, os="osA", cpu_arch="x86", cores=4, ram=1024)
+        for i in range(2)],
+    sw=[sw("a", "fa"), sw("b", "fb", ["fa"]), sw("c", "fc", ["fb"]),
+        sw("d", "fd", ["fc", "fx"])],
+    protocols=[RepProtocol(id="pb", sync=True, active=False,
+                           progress_q="all", reconfig_q="one")],
+    sync=True)
+req = ResilienceRequirement(
+    fm=FailureModel(bounds=(FailBound(hw_type="Computer", n=1),)),
+    crit_fns=frozenset({"fd"}))
+Synthesizer(sys, req).solve("best")
+print(calls)
+'''
+
+
+def test_solve_work_does_not_depend_on_the_hash_seed():
+    """``can_run`` stops at the first unavailable requirement, so the order
+    it tries them in decides how many ``avail_on`` calls a solve makes; that
+    order must not follow the hash seed of the process."""
+    import os
+    import subprocess
+    import sys as _python
+
+    import resilcfg
+
+    import_root = os.path.dirname(os.path.dirname(resilcfg.__file__))
+    counts = set()
+    for seed in ("0", "1", "2", "3"):
+        proc = subprocess.run(
+            [_python.executable, "-c", _COUNT_AVAIL_ON_CALLS],
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": import_root},
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1, counts

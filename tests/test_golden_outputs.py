@@ -8,15 +8,20 @@ alters them on purpose (a new policy format, say) updates the digests here
 in the same commit and says why.  The policy digests are those of policy
 format version 3; the report digests and verify counts of "partial" and
 "full" predate it.
+
+No fixture's policy holds a move or a stopRep, so two random models pin
+the witness orders of every action kind as well.
 """
 
 import hashlib
 import pathlib
+import random
 
 import pytest
 
 from resilcfg import Synthesizer, load_model, verify_policy
 from resilcfg.modelio import load_policy, save_policy, save_report
+from conftest import random_model
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -78,14 +83,50 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name,quotient", sorted(GOLDEN))
-def test_policy_report_and_verify_count_are_pinned(name, quotient, tmp_path):
-    sys, req = load_model(FIXTURES / (name + ".json"))
+def _solve(sys, req, quotient, model_path, tmp_path):
+    """The SHA-256 of the policy and report files of one solve, its verify
+    count and the policy as loaded back."""
     result = Synthesizer(sys, req, quotient=quotient).solve("best")
     policy_path = tmp_path / "policy.json"
     report_path = tmp_path / "report.json"
     save_policy(result.policy, policy_path)
-    save_report(result, report_path, "fixtures/%s.json" % name)
-    n = verify_policy(load_policy(policy_path), sys, req)
-    assert (_sha256(policy_path), _sha256(report_path), n) == \
-        GOLDEN[(name, quotient)]
+    save_report(result, report_path, model_path)
+    policy = load_policy(policy_path)
+    n = verify_policy(policy, sys, req)
+    return _sha256(policy_path), _sha256(report_path), n, policy
+
+
+@pytest.mark.parametrize("name,quotient", sorted(GOLDEN))
+def test_policy_report_and_verify_count_are_pinned(name, quotient, tmp_path):
+    sys, req = load_model(FIXTURES / (name + ".json"))
+    policy_sha, report_sha, n, _ = _solve(
+        sys, req, quotient, "fixtures/%s.json" % name, tmp_path)
+    assert (policy_sha, report_sha, n) == GOLDEN[(name, quotient)]
+
+
+# draw -> (SHA-256 of the policy file, SHA-256 of the report file written
+# with model path "random-11-<draw>", verify count, the action kinds the
+# policy holds) for the draw-th (0-based) model of
+# ``random_model(random.Random(11), max_computers=3, max_software=3)``,
+# solved with quotient "full".
+RANDOM_GOLDEN = {
+    56: ("963c9498397867f375f20b9e31b7b7f03da6e392ba8f19f7a078cd36068de8e4",
+         "247530e7b933b13fd198d97f968af4d691d42739a789e9e6f5eee7b4721c3525",
+         120, {"ChangeReps", "Move", "Start", "Stop"}),
+    173: ("0609c07bd7bacd4b9304d00d58b8c223836fdad711d566ec560bd0b1634aab42",
+          "9515f4b47cba73e99f6ba51ee3d9d6817ae94955bc58f64833eb9d546ec47d28",
+          4023, {"ChangeReps", "Move", "Stop", "StopRep"}),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(RANDOM_GOLDEN))
+def test_random_model_policy_report_and_verify_count_are_pinned(draw,
+                                                                  tmp_path):
+    rng = random.Random(11)
+    for _ in range(draw + 1):
+        sys, req = random_model(rng, max_computers=3, max_software=3)
+    policy_sha, report_sha, n, policy = _solve(
+        sys, req, "full", "random-11-%d" % draw, tmp_path)
+    kinds = {type(a).__name__ for entry in policy.entries.values()
+             for a in entry.actions}
+    assert (policy_sha, report_sha, n, kinds) == RANDOM_GOLDEN[draw]

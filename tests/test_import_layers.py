@@ -36,3 +36,10 @@ def test_the_import_graph_has_no_cycle():
 
 def test_enumeration_sits_below_the_relation_and_the_search():
     assert not GRAPH["enumeration"] & {"reconfig", "synthesis"}
+
+
+def test_no_package_module_imports_the_oracle():
+    """The brute-force references in ``oracle`` stay independent of the
+    code they check, so only tests and other references import them."""
+    importers = [m for m in MODULES + ["__init__"] if "oracle" in _imports(m)]
+    assert importers == []

@@ -143,8 +143,7 @@ def test_witnessed_relation_is_sound_for_reachability():
                     if not can_reconfigure(src, tgt, fs, sys):
                         continue
                     try:
-                        derive_actions(src, tgt, fs, sys,
-                                       relation_checked=True)
+                        derive_actions(src, tgt, fs, sys)
                     except NoWitnessError:
                         continue
                     assert reachable_by_actions(

@@ -280,12 +280,12 @@ def test_derive_requires_relation(tiny_sys):
 
 def test_derive_without_a_donor_raises_rather_than_starting(tiny_sys):
     """A new instance that is not startable is realized only as a move of
-    a live removed instance; when a caller claims the relation but none
-    exists, the derivation raises instead of emitting a ``Start``."""
+    a live removed instance; when none exists, the derivation raises
+    ``NoWitnessError`` instead of emitting a ``Start``."""
     cfg = tiny_config(plan_members=None)
     target = tiny_config(plan_members=None, plan_si="c0")
-    with pytest.raises(StopIteration):
-        derive_actions(cfg, target, FS0, tiny_sys, relation_checked=True)
+    with pytest.raises(NoWitnessError):
+        derive_actions(cfg, target, FS0, tiny_sys)
 
 
 def test_derive_replays_to_target(tiny_sys):
@@ -415,14 +415,15 @@ def _apply_after_failures(cfg, fs, actions, sys):
 
 def test_derived_sequences_stay_valid_on_random_models():
     """Witness sequences replay exactly and never pass through an invalid
-    intermediate configuration."""
+    intermediate configuration; where the relation rejects a pair, the
+    derivation raises ``NoWitnessError`` and nothing else."""
     import random
 
     from resilcfg import generate_all_configs, valid_config
     from conftest import small_random_model
 
     rng = random.Random(404)
-    pairs = 0
+    pairs = rejected = 0
     while pairs < 300:
         sys, req, _ = small_random_model(rng, max_computers=2,
                                          max_software=2, max_valid=200)
@@ -434,6 +435,9 @@ def test_derived_sequences_stay_valid_on_random_models():
             for src in sources[:5]:
                 for tgt in universe[:8]:
                     if not can_reconfigure(src, tgt, fs, sys):
+                        with pytest.raises(NoWitnessError):
+                            derive_actions(src, tgt, fs, sys)
+                        rejected += 1
                         continue
                     st = State(src, fs)
                     for act in derive_actions(src, tgt, fs, sys):
@@ -441,6 +445,7 @@ def test_derived_sequences_stay_valid_on_random_models():
                         assert valid_config(st.cfg, sys)
                     assert st.cfg == tgt
                     pairs += 1
+    assert rejected
 
 
 def test_relation_is_narrower_than_raw_reachability(tiny_sys):
