@@ -243,7 +243,8 @@ class QuotientClass:
     def members(self, dead: int = 0):
         """The members whose relocatable instances avoid the computers with
         a bit in ``dead``, in ``Config.key`` order; each member is built
-        once and shared by later calls.
+        once and shared by later calls.  The state-representative search
+        sets the bits of the computers ``availability.live`` calls down.
 
         The walk is a lexicographic depth-first search over each slot's
         host combinations.  Each component has as many instances in every

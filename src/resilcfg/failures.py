@@ -166,8 +166,7 @@ def remove_dead(cfg: Config, fs: FailedSet, sys: SystemModel) -> Config:
     ``survives_host_loss``; a replicated instance survives as long as some
     member is unfailed (membership is not touched here -- that is a
     reconfiguration action).  The result is ``cfg`` itself when nothing
-    dies, and only the computer ids in ``fs`` matter, so failed sets that
-    fail the same computers give the same result.
+    dies.
     """
     if not fs:
         return cfg

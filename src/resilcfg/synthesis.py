@@ -9,8 +9,9 @@ also survives when they arrive in installments.
 The search keeps one context per failed set: its bursts, its successor
 candidates, the successor found for each source state and the memo of the
 verdicts of the nodes explored under it.  A node's state representative
-under a failed set is computed when first asked for and shared by every
-failed set that fails the same computers.  A scan visits only the nodes its
+under a failed set is computed when first asked for and kept by that failed
+set's context; its relocatable instances sit on computers that
+``availability.live`` keeps up.  A scan visits only the nodes its
 source can reach, read off their fixed parts, and the candidate list of a
 failed set and reach key is grown only as far as its scans go.  A
 resilient node's memo entry keeps, per burst, the successor and the
@@ -42,7 +43,7 @@ from .failures import (
     remove_dead,
     worst_next_failed_sets,
 )
-from .availability import avail
+from .availability import avail, live
 from .reconfig import (
     ActionRejected,
     NoWitnessError,
@@ -112,10 +113,10 @@ class _FailedSetContext:
     __slots__ = ("fs", "dead", "states", "bursts", "candidates", "memo",
                  "succ")
 
-    def __init__(self, fs: FailedSet, dead: int, states: dict):
+    def __init__(self, fs: FailedSet, dead: int):
         self.fs = fs
-        self.dead = dead        # bits of the computers ``fs`` fails
-        self.states = states    # node -> state config, shared per ``dead``
+        self.dead = dead        # bits of the computers ``live`` calls down
+        self.states = {}        # node -> state config
         self.bursts = None      # computed by ``_next_bursts``
         self.candidates = {}    # reach key -> (unwalked nodes, candidates)
         self.memo = {}          # node -> _MemoEntry
@@ -178,9 +179,9 @@ class Synthesizer:
     configuration, kept as a class of one labelled with its class's
     signature; "off" roots every initial configuration, "partial" only the
     first member of each initial class.  Everything else runs the same way
-    in every mode.  ``all_classes``, ``all_cfgs`` and ``init_cfgs`` list
-    the members after ``build``; they are expanded when first read, and a
-    "full" solve reads none of them.
+    in every mode.  ``all_classes`` and ``init_cfgs`` list the members
+    after ``build``; they are expanded when first read, and a "full" solve
+    reads neither.
     """
 
     def __init__(self, sys: SystemModel, req: ResilienceRequirement,
@@ -194,7 +195,6 @@ class Synthesizer:
         self._built = False
         # computer -> its bit, in the host order of enumeration's masks
         self._bits = {c: 1 << i for i, c in enumerate(sys.computer_ids)}
-        self._states = {}    # failed-computer bits -> {node: state config}
         self._class_of = {}  # node -> its class
         self._contexts = {}  # failed set -> _FailedSetContext
         self._reach = {}     # reach key -> the nodes it reaches
@@ -217,10 +217,11 @@ class Synthesizer:
                               for cfg in members}
             roots = (set(self.init_cfgs) if self.quotient == "off" else
                      {self.all_classes[sig][0] for sig in self.init_sigs})
-        # A node's first member is its state configuration at every failed
-        # set that fails no computer.
-        firsts = self._states[0] = {node: cls.first for node, cls
-                                    in self._class_of.items()}
+        # A node's first member is its state configuration at the empty
+        # failed set, where every computer is live.
+        firsts = self._context(EMPTY_FS).states
+        firsts.update((node, cls.first) for node, cls
+                      in self._class_of.items())
 
         def node_order_key(node):
             first = firsts[node]
@@ -239,12 +240,6 @@ class Synthesizer:
         return {cls.sig: list(cls.members()) for cls in self.classes}
 
     @cached_property
-    def all_cfgs(self) -> list:
-        """Every relevant configuration, key-sorted."""
-        return sorted(itertools.chain.from_iterable(self.all_classes.values()),
-                      key=Config.key)
-
-    @cached_property
     def init_cfgs(self) -> list:
         """Every member of an initial class, key-sorted."""
         return sorted(itertools.chain.from_iterable(
@@ -256,11 +251,11 @@ class Synthesizer:
         """The deterministic concrete configuration explored for ``node``.
 
         It is the first member of the node's class, in key order, that
-        carries no dead instances under ``fs``; with "off" and "partial" the
-        class has one member, the node's configuration.  Which instances
-        are dead depends only on the computers ``fs`` fails, so the answers
-        are kept in one dict per bitmask of failed computers, each computed
-        when first asked for.
+        carries no dead instances under ``fs`` and whose relocatable
+        instances sit on computers ``availability.live`` keeps up.  With
+        "off" and "partial" the class has one member, the node's
+        configuration, and all of it counts as fixed.  Each answer is
+        computed when first asked for and kept in ``fs``'s context.
         """
         return self._state(self._context(fs), node)
 
@@ -268,8 +263,10 @@ class Synthesizer:
         states = ctx.states
         cfg = states.get(node, _MISSING)
         if cfg is _MISSING:
-            # A search, because relocatable software is startable, never
-            # survives host loss and so must sit on live computers.
+            # A fixed part on an unpowered computer is kept, as
+            # ``remove_dead`` keeps it.  Relocatable software is startable,
+            # so it never survives host loss and must sit on the computers
+            # ``live`` keeps up: a search outside ``ctx.dead``.
             cls = self._class_of[node]
             fixed = cls.fixed
             cfg = states[node] = (
@@ -280,16 +277,16 @@ class Synthesizer:
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)
         if ctx is None:
-            dead = sum(self._bits.get(h, 0) for h in fs)
-            ctx = self._contexts[fs] = _FailedSetContext(
-                fs, dead, self._states.setdefault(dead, {}))
+            dead = sum(bit for c, bit in self._bits.items()
+                       if not live(c, fs, self.sys))
+            ctx = self._contexts[fs] = _FailedSetContext(fs, dead)
         return ctx
 
     @cached_property
     def _needs(self) -> list:
         """(node, reach key), best first, equal keys stored once; built by
         the first scan."""
-        firsts, shared, needs = self._states[0], {}, []
+        firsts, shared, needs = self._contexts[EMPTY_FS].states, {}, []
         for node in self._nodes:
             key = _reach_key(firsts[node], self.sys)
             needs.append((node, shared.setdefault(key, key)))

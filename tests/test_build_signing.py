@@ -1,10 +1,9 @@
 """The listed classes of a build against per-configuration references.
 
 ``Synthesizer.build`` enumerates the classes together with their
-signatures and lists no member.  ``all_classes`` and ``all_cfgs`` expand
-the members when first read, as the "off" and "partial" solves do, and
-those solves take each node's signature from the class it was listed
-under.  Each listed member is checked here against the slow forms: a
+signatures and lists no member.  ``all_classes`` expands the members
+when first read, as the "off" and "partial" solves do, and those solves
+take each node's signature from the class it was listed under.  Each listed member is checked here against the slow forms: a
 ``Config.make`` of its tuples, ``signature`` and a signature written out
 from the raw attributes, and a written-out ``relocatable``.  The last test
 checks that no solve, in any mode, signs a configuration.
@@ -17,6 +16,7 @@ import pytest
 from resilcfg import (
     Config,
     Synthesizer,
+    generate_all_configs,
     load_model,
     quotient,
     relocatable,
@@ -67,13 +67,14 @@ def test_build_matches_per_configuration_references(group, mode):
     for sys, req in model_group(group):
         syn = Synthesizer(sys, req, quotient=mode)
         syn.build()
+        all_cfgs = generate_all_configs(sys, req)
 
-        for cfg in syn.all_cfgs:
+        for cfg in all_cfgs:
             made = Config.make(cfg.si, cfg.rsi)
             assert type(cfg.si) is tuple and type(cfg.rsi) is tuple
             assert (cfg.si, cfg.rsi) == (made.si, made.rsi)
-        assert [c.key() for c in syn.all_cfgs] == sorted(
-            c.key() for c in syn.all_cfgs)
+        assert [c.key() for c in all_cfgs] == sorted(
+            c.key() for c in all_cfgs)
 
         sigs = list(syn.all_classes)
         assert sigs == sorted(sigs)
@@ -85,11 +86,11 @@ def test_build_matches_per_configuration_references(group, mode):
                 assert signature(member, sys) == sig
                 assert tuple(sig) == _signature_reference(member, sys)
             n_members += len(members)
-        assert n_members == len(syn.all_cfgs)
+        assert n_members == len(all_cfgs)
 
         assert syn.init_sigs == {signature(c, sys) for c in syn.init_cfgs}
 
-        for cfg in syn.all_cfgs:
+        for cfg in all_cfgs:
             for sw in sys.software.values():
                 assert (relocatable(sw, cfg, sys)
                         == _relocatable_reference(sw, cfg, sys)), (sw.id, cfg)

@@ -31,6 +31,7 @@ from resilcfg import (
     derive_actions,
     fixtures,
     generate_init_configs,
+    live,
     partition_members,
     remove_dead,
     signature,
@@ -90,17 +91,18 @@ def test_no_class_mixes_initial_and_other_members(models):
 @pytest.mark.parametrize("group", ["fixtures", "driving", "random"])
 def test_state_config_is_the_first_member_a_scan_finds(group):
     """The search returns the first key-sorted member without dead
-    instances, for every class under every reachable failed set."""
+    instances whose relocatable instances sit on live computers, for every
+    class under every reachable failed set."""
     found = {"first member": 0, "later member": 0, "none": 0}
     for sys, req in model_group(group):
         members, _ = _reference(sys, req)
         syn = Synthesizer(sys, req)
         syn.build()
+        first_live = _first_live(members, syn.classes, sys)
         for fs in reachable_failed_sets(req, sys):
             assert consistent(fs, req.fm, sys)
             for sig, group_members in members.items():
-                expected = next((m for m in group_members
-                                 if remove_dead(m, fs, sys) == m), None)
+                expected = first_live(sig, fs)
                 assert syn.state_config(sig, fs) == expected, (sig, fs)
                 found["none" if expected is None else
                       "first member" if expected is group_members[0] else
@@ -157,10 +159,19 @@ def test_every_member_has_its_first_members_reach_key(group):
                 assert _pinned_si(member, sys) == pinned, cls.sig
 
 
-def _first_live(members, sys):
+def _first_live(members, classes, sys):
+    """The reference state configuration of a class under a failed set: its
+    first member that ``remove_dead`` keeps whole and whose relocatable
+    instances, those outside the class's fixed part, sit on computers
+    ``live`` keeps up."""
+    fixed = {cls.sig: cls.fixed.si for cls in classes}
+
     def first_live(node, fs):
         return next((m for m in members[node]
-                     if remove_dead(m, fs, sys) == m), None)
+                     if remove_dead(m, fs, sys) == m
+                     and all(live(si.computer, fs, sys)
+                             for si in m.si if si not in fixed[node])),
+                    None)
     return first_live
 
 
@@ -178,9 +189,9 @@ def test_candidates_are_built_as_far_as_the_scans_reach(models):
     lazy = 0
     for sys, req in models():
         members, _ = _reference(sys, req)
-        first_live = _first_live(members, sys)
         syn = Synthesizer(sys, req)
         syn.solve()
+        first_live = _first_live(members, syn.classes, sys)
 
         for (pairs, pinned), nodes in syn._reach.items():
             assert nodes == [
@@ -217,9 +228,9 @@ def test_every_successor_is_the_reference_scans(models):
     hits = 0
     for sys, req in models():
         members, _ = _reference(sys, req)
-        first_live = _first_live(members, sys)
         syn = Synthesizer(sys, req)
         syn.solve()
+        first_live = _first_live(members, syn.classes, sys)
         answers = [(fs, key, found) for fs, ctx in syn._contexts.items()
                    for key, found in ctx.succ.items()]
         hits += sum(found is not None for _, _, found in answers)
@@ -247,7 +258,7 @@ def test_a_full_solve_lists_no_member(monkeypatch):
     def unread(self):
         raise AssertionError("a full solve listed the members")
 
-    for name in ("all_cfgs", "init_cfgs", "all_classes"):
+    for name in ("init_cfgs", "all_classes"):
         monkeypatch.setattr(Synthesizer, name, property(unread))
     sys, req = fixtures.autonomous_driving_laptop(4)
     result = Synthesizer(sys, req).solve()

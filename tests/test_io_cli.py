@@ -497,6 +497,11 @@ def _with_failed_set_row(row):
     return broken
 
 
+def _with_restart(raw):
+    raw["actions"][0]["type"] = "restart"
+    return raw
+
+
 def _with_signature_index(raw):
     """The first root's signature as an index, as format version 2 had."""
     raw["roots"][0][0] = 0
@@ -516,9 +521,15 @@ def _with_signature_index(raw):
     (_with_failed_set_row([["c0", "crash"]]),
      "is not a list of hardware ids"),
     (_with_failed_set_row(["c0", 1]), "is not a list of hardware ids"),
+    (_with_restart, "unknown action type 'restart'"),
+    (lambda raw: dict(raw, model=raw["model"].upper()),
+     "field 'model' is not a SHA-256 digest in lowercase hexadecimal"),
+    (lambda raw: dict(raw, model=raw["model"][:63]),
+     "field 'model' is not a SHA-256 digest in lowercase hexadecimal"),
 ], ids=["root-without-signature", "root-not-an-object",
         "root-signature-an-index", "short-fixedSI-entry", "stop-without-sw",
-        "failed-set-crash-pair", "failed-set-non-string"])
+        "failed-set-crash-pair", "failed-set-non-string",
+        "unknown-action-type", "model-in-upper-case", "model-too-short"])
 def test_cli_replay_malformed_policy_is_an_input_error(tmp_path, capsys,
                                                        broken, message):
     pol = _tiny_policy(tmp_path)
@@ -685,6 +696,35 @@ def test_cli_replay_of_an_invalid_root_fails(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", "--model", str(FIXTURES / "example1.json"),
                  "--policy", str(pol), "--exhaustive"]) == 1
+    err = capsys.readouterr().err
+    assert err == "replay failed: the root configuration is not valid\n"
+
+
+@pytest.mark.parametrize("protocol, primary", [
+    ("smr", "c0"), ("primary-backup", None),
+], ids=["active-with-a-primary", "passive-without-a-primary"])
+def test_cli_replay_of_a_root_with_a_malformed_replica_fails(
+        tmp_path, capsys, protocol, primary):
+    """The root's replicated planner breaks a replication rule: an active
+    protocol takes no primary, a passive one needs one.  The policy loads,
+    and replay reports the gap (exit 1)."""
+    raw = tiny_raw()
+    raw["system"]["protocols"].append(
+        {"id": "smr", "active": True, "failTypes": ["crash"],
+         "progressQ": "majority", "reconfigQ": "majority", "sync": False})
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(raw))
+    pol = tmp_path / "policy.json"
+    assert main(["solve", "--model", str(model), "--policy-out",
+                 str(pol)]) == 0
+    policy = json.loads(pol.read_text())
+    policy["configs"][policy["roots"][0][1]] = {
+        "si": [["LOC", "c0"]],
+        "rsi": [["PLAN", protocol, ["c0", "c1"], primary]]}
+    pol.write_text(json.dumps(policy))
+    capsys.readouterr()
+    assert main(["replay", "--model", str(model), "--policy", str(pol),
+                 "--exhaustive"]) == 1
     err = capsys.readouterr().err
     assert err == "replay failed: the root configuration is not valid\n"
 

@@ -19,6 +19,7 @@ from resilcfg import (
     Stop,
     StopRep,
     SwInst,
+    Synthesizer,
     SystemModel,
     apply_action,
     can_reconfigure,
@@ -31,7 +32,8 @@ from resilcfg import (
 from resilcfg import fixtures
 from resilcfg.oracle import _enabled_actions, naive_apply_action
 from resilcfg.reconfig import describe_action
-from conftest import FS0, FS_C0, small_random_model, tiny_config
+from conftest import (FS0, FS_C0, over_budget_root, small_random_model,
+                      tiny_config)
 
 
 def test_can_run_trivial(tiny_sys):
@@ -105,6 +107,17 @@ def test_relation_rejects_unstartable_software(tiny_sys):
     cfg = tiny_config(plan_members=None, plan_si="c0")
     target = tiny_config(plan_members=None, plan_si="c1")
     assert not can_reconfigure(cfg, target, FS0, tiny_sys)
+
+
+def test_relation_rejects_an_invalid_target():
+    """Starting one more instance is a difference an action produces, but
+    it puts ``c1`` over its core budget: only the target's validity check
+    rejects it."""
+    sys, req = fixtures.autonomous_driving_laptop()
+    _, bad = over_budget_root(sys, req)
+    root = next(iter(Synthesizer(sys, req).solve().policy.roots.values()))
+    assert can_reconfigure(root, bad, FS0, sys, assume_target_valid=True)
+    assert not can_reconfigure(root, bad, FS0, sys)
 
 
 # -- action application ---------------------------------------------------------

@@ -11,20 +11,24 @@ from resilcfg import (
     ChangeReps,
     Computer,
     Config,
+    Device,
     FailBound,
     FailureModel,
     ModelError,
     NoWitnessError,
     Policy,
     Quality,
+    RepProtocol,
     ResilienceRequirement,
     Software,
     Start,
+    Stop,
     SwInst,
     Synthesizer,
     SystemModel,
     derive_actions,
     fs_key,
+    live,
     load_model,
     quality,
     remove_dead,
@@ -36,8 +40,9 @@ from resilcfg import (
     worst_burst_schedules,
 )
 from resilcfg import fixtures, modelio
-from resilcfg.synthesis import PolicyEntry, ReplayError
-from conftest import (FS0, over_budget_root, random_model,
+from resilcfg.oracle import all_valid_configs, naive_resilient
+from resilcfg.synthesis import QUOTIENT_MODES, PolicyEntry, ReplayError
+from conftest import (FS0, FS_C0, over_budget_root, random_model,
                       reachable_failed_sets, tiny_config)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -80,6 +85,16 @@ def test_resilient_rejects_invalid_state(tiny_sys, tiny_req):
                       [rep_inst("LOC", "primary-backup", ["c0"], "c0")])
     with pytest.raises(ModelError):
         Synthesizer(tiny_sys, tiny_req).check_state(bad, FS0)
+
+
+def test_check_state_rejects_dead_instances_and_foreign_failed_sets(
+        tiny_sys, tiny_req):
+    """``LOC`` dies with ``c0``, and the tiny model lets no device fail."""
+    syn = Synthesizer(tiny_sys, tiny_req)
+    with pytest.raises(ModelError, match="carries dead instances"):
+        syn.check_state(tiny_config(), FS_C0)
+    with pytest.raises(ModelError, match="inconsistent with failure model"):
+        syn.check_state(tiny_config(), frozenset({"g0"}))
 
 
 def test_one_resilient_implied(tiny_sys, tiny_req):
@@ -203,8 +218,12 @@ def test_quality_of_example1_best_root():
 
 
 def test_state_config_is_the_first_member_without_dead_instances():
-    """The loss-key index picks the member a scan with ``remove_dead``
-    picks, in every quotient mode and under every reachable failed set."""
+    """``state_config`` picks the member a scan picks, in every quotient
+    mode and under every reachable failed set.  Under "full" that is the
+    first member ``remove_dead`` keeps whole whose relocatable instances,
+    those outside the class's fixed part, sit on computers ``live`` keeps
+    up; under "off" and "partial" it is the node's own configuration when
+    ``remove_dead`` keeps it whole."""
     rng = random.Random(4242)
     seen = {"device only": 0, "replicas lost, survives": 0,
             "replicas lost, dropped": 0, "no representative": 0}
@@ -217,15 +236,20 @@ def test_state_config_is_the_first_member_without_dead_instances():
         for quotient in ("off", "partial", "full"):
             syn = Synthesizer(sys, req, quotient=quotient)
             syn.build()
+            fixed = {cls.sig: cls.fixed.si for cls in syn.classes}
             if quotient == "full":
-                nodes = [(sig, members)
+                nodes = [(sig, members, fixed[sig])
                          for sig, members in syn.all_classes.items()]
             else:
-                nodes = [(cfg, [cfg]) for cfg in syn.all_cfgs]
+                nodes = [(cfg, [cfg], cfg.si)
+                         for members in syn.all_classes.values()
+                         for cfg in members]
             for fs in failed_sets:
-                for node, members in nodes:
-                    expected = next((m for m in members
-                                     if remove_dead(m, fs, sys) == m), None)
+                for node, members, kept in nodes:
+                    expected = next((
+                        m for m in members if remove_dead(m, fs, sys) == m
+                        and all(live(si.computer, fs, sys)
+                                for si in m.si if si not in kept)), None)
                     assert syn.state_config(node, fs) is expected
                     if expected is None:
                         seen["no representative"] += 1
@@ -238,6 +262,73 @@ def test_state_config_is_the_first_member_without_dead_instances():
                                 seen["replicas lost, survives" if kept
                                      else "replicas lost, dropped"] += 1
     assert all(seen.values()), seen
+
+
+def _ups_model():
+    """``c1`` draws its power from the device ``ups``, ``c2`` has its own;
+    the one critical component ``A`` is relocatable, and one device may
+    fail."""
+    c1 = Computer(id="c1", os="os", cpu_arch="x86", cores=2, ram=64,
+                  power={"ups"})
+    c2 = dataclasses.replace(c1, id="c2", power=frozenset())
+    a = Software(id="A", fn="a", fast_starting=True, resumable=True,
+                 remote_use=True)
+    pb = RepProtocol(id="primary-backup", sync=True, active=False,
+                     progress_q="all", reconfig_q="one")
+    sys = SystemModel(hw=[c1, c2, Device(id="ups", device_type="power")],
+                      sw=[a], protocols=[pb], sync=True)
+    req = ResilienceRequirement(
+        fm=FailureModel(bounds=(FailBound(hw_type="Device", n=1),)),
+        crit_fns={"a"})
+    return sys, req
+
+
+def test_a_relocatable_instance_leaves_a_computer_that_lost_power():
+    """The failure of ``ups`` kills no instance but takes ``c1`` down, so
+    the state representative under ``{ups}`` runs ``A`` on ``c2``, and the
+    class of ``A`` is resilient: ``A`` starts again on ``c2``."""
+    sys, req = _ups_model()
+    syn = Synthesizer(sys, req)
+    result = syn.solve()
+    assert result.counts() == (2, 2, 1, 1, 1)
+    on_c1, on_c2 = (Config.make([SwInst("A", c)], []) for c in ("c1", "c2"))
+    assert syn.check_state(on_c1) and syn.check_state(on_c2)
+    assert verify_policy(result.policy, sys, req) == 1
+    entry = result.policy.entries[(on_c1, FS0, frozenset({"ups"}))]
+    assert entry == PolicyEntry(on_c2, (Stop(SwInst("A", "c1")),
+                                        Start(SwInst("A", "c2"))))
+
+
+# Random models in which a device ``ups`` powers a computer and devices may
+# fail; "full" found fewer resilient classes than the other modes on each.
+POWER_SEEDS = (7762, 9522, 9570, 9899, 14867, 16669, 19408, 23339, 24708)
+
+
+def test_quotient_modes_agree_when_a_computer_loses_power():
+    """Every quotient mode finds as many resilient classes, and on the
+    models with at most 400 valid configurations every member of every
+    initial class gets its class's verdict from the brute-force oracle."""
+    checked = 0
+    for seed in POWER_SEEDS:
+        sys, req = random_model(random.Random(seed))
+        assert any("ups" in c.power for c in sys.computers.values())
+        assert req.fm.bound_for("Device") is not None
+        counts = {Synthesizer(sys, req, quotient=q).solve().counts()
+                  for q in QUOTIENT_MODES}
+        assert len(counts) == 1, (seed, counts)
+        valid = all_valid_configs(sys)
+        if len(valid) > 400:
+            continue
+        syn = Synthesizer(sys, req)
+        resilient = {sig for sig, _, _ in syn.solve().resilient}
+        ctx = {"universe": valid, "memo": {}}
+        for cls in syn.classes:
+            if cls.initial:
+                for cfg in cls.members():
+                    assert (naive_resilient(cfg, FS0, req, sys, ctx)
+                            == (cls.sig in resilient)), (seed, cfg)
+        checked += 1
+    assert checked == 8
 
 
 def test_verify_policy_counts_every_schedule_of_every_root():
