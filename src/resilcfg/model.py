@@ -223,15 +223,14 @@ class SystemModel:
         self.protocols = dict(sorted((p.id, p) for p in protocols))
         self.sync = bool(sync)
 
-        self._validate_power()
+        # Every hardware id, each after its power sources.
+        self.power_order = self._validate_power()
         self._validate_fn_graph()
+        # Failed set -> its ``availability.Liveness``, filled by
+        # ``availability``; the model is never changed after construction.
+        self.liveness = {}
 
         self.computer_ids = tuple(self.computers)
-        # Stand-alone devices by type, for device-availability checks.
-        pool = {}
-        for d in self.devices.values():
-            pool.setdefault(d.device_type, []).append(d.id)
-        self.device_pool = {t: tuple(sorted(v)) for t, v in sorted(pool.items())}
         # Providers of each functionality.
         prov = {}
         for s in self.software.values():
@@ -246,7 +245,7 @@ class SystemModel:
             for p in edges[h.id]:
                 if p not in all_hw:
                     raise ModelError("%s: unknown power source %r" % (h.id, p))
-        _check_acyclic(edges, "power references")
+        return _check_acyclic(edges, "power references")
 
     def _validate_fn_graph(self):
         edges = {}
@@ -290,10 +289,12 @@ class SystemModel:
         raise ModelError("unknown hardware %r" % hid)
 
 
-def _check_acyclic(edges: dict, what: str):
+def _check_acyclic(edges: dict, what: str) -> tuple:
     """Depth-first, with an explicit stack so that long chains do not hit
-    the recursion limit."""
+    the recursion limit.  Returns the nodes in post-order: each after the
+    nodes its edges lead to."""
     state = {}  # 0 = on the current path, 1 = done
+    done = []
     for start in sorted(edges):
         if start in state:
             continue
@@ -302,7 +303,8 @@ def _check_acyclic(edges: dict, what: str):
         while todo:
             node = next(todo[-1], None)
             if node is None:
-                state[path.pop()] = 1
+                state[path[-1]] = 1
+                done.append(path.pop())
                 todo.pop()
             elif state.get(node) == 0:
                 cycle = " -> ".join(path + [node])
@@ -311,6 +313,7 @@ def _check_acyclic(edges: dict, what: str):
                 state[node] = 0
                 path.append(node)
                 todo.append(iter(edges.get(node, ())))
+    return tuple(done)
 
 
 class SwInst(NamedTuple):

@@ -43,7 +43,7 @@ from .failures import (
     remove_dead,
     worst_next_failed_sets,
 )
-from .availability import avail, live
+from .availability import avail, liveness
 from .reconfig import (
     ActionRejected,
     NoWitnessError,
@@ -107,7 +107,8 @@ class _MemoEntry(NamedTuple):
 
 class _FailedSetContext:
     """What the search keeps for one failed set.  ``succ`` is the only
-    cache of the successor scan: caching liveness, runnability or the
+    cache of the successor scan: the model keeps the failed set's liveness
+    (``availability.liveness``), and caching runnability or the
     availability of one-resilience candidates here saved no time."""
 
     __slots__ = ("fs", "dead", "states", "bursts", "candidates", "memo",
@@ -277,8 +278,8 @@ class Synthesizer:
     def _context(self, fs: FailedSet) -> _FailedSetContext:
         ctx = self._contexts.get(fs)
         if ctx is None:
-            dead = sum(bit for c, bit in self._bits.items()
-                       if not live(c, fs, self.sys))
+            up = liveness(fs, self.sys).hw
+            dead = sum(bit for c, bit in self._bits.items() if c not in up)
             ctx = self._contexts[fs] = _FailedSetContext(fs, dead)
         return ctx
 

@@ -4,10 +4,13 @@ brute-force evaluator."""
 import itertools
 import random
 
+import pytest
+
 from resilcfg import (
     Computer,
     Config,
     Device,
+    ModelError,
     Synthesizer,
     SystemModel,
     avail,
@@ -18,26 +21,41 @@ from resilcfg import (
 )
 from resilcfg.modelio import model_from_dict
 from resilcfg.oracle import all_valid_configs
-from conftest import (FS0, FS_C0, FS_C1, power_chain_model,
+from resilcfg.failures import consistent
+from conftest import (FS0, FS_C0, FS_C1, POWER_SEEDS, power_chain_model,
+                      random_model, reachable_failed_sets,
                       small_random_model, tiny_config)
 
 
 # -- independent reference evaluator -----------------------------------------
 
 
+def _reference_live(h, fs, sys):
+    """The recursive definition: unfailed, and internally powered or with
+    a live power source."""
+    power = sys.power_of(h)
+    return h not in fs and (
+        not power or any(_reference_live(p, fs, sys) for p in power))
+
+
 def brute_avail_on(fn, c, cfg, fs, sys):
-    """Literal evaluator: enumerates every candidate quorum explicitly."""
-    if not live(c, fs, sys):
+    """Literal evaluator: enumerates every candidate quorum explicitly, and
+    reads liveness from ``_reference_live``."""
+    if not _reference_live(c, fs, sys):
         return False
 
     def reqs_ok(sw, host):
         return (all(brute_avail_on(f2, host, cfg, fs, sys)
                     for f2 in sw.fn_req)
-                and all(avail_dev(dt, host, fs, sys) for dt in sw.devices))
+                and all(dt in sys.computer(host).devices
+                        or any(_reference_live(d.id, fs, sys)
+                               for d in sys.devices.values()
+                               if d.device_type == dt)
+                        for dt in sw.devices))
 
     for si in cfg.si:
         sw = sys.sw(si.sw)
-        if (sw.fn == fn and live(si.computer, fs, sys)
+        if (sw.fn == fn and _reference_live(si.computer, fs, sys)
                 and (c == si.computer or sw.remote_use)
                 and reqs_ok(sw, si.computer)):
             return True
@@ -49,7 +67,7 @@ def brute_avail_on(fn, c, cfg, fs, sys):
         need = quorum_size(proto.progress_q, len(rsi.computers))
         for size in range(need, len(rsi.computers) + 1):
             for quorum in itertools.combinations(rsi.computers, size):
-                if not all(live(m, fs, sys) for m in quorum):
+                if not all(_reference_live(m, fs, sys) for m in quorum):
                     continue
                 if c not in quorum and not sw.remote_use:
                     continue
@@ -73,6 +91,12 @@ def test_live_failed(tiny_sys):
     assert not live("c0", FS_C0, tiny_sys)
 
 
+def test_live_unknown_hardware(tiny_sys):
+    for fs in (FS0, frozenset({"ghost"})):
+        with pytest.raises(ModelError, match="unknown hardware 'ghost'"):
+            live("ghost", fs, tiny_sys)
+
+
 def test_live_power_chain():
     ups = Device(id="ups", device_type="power")
     comp = Computer(id="c0", os="osA", cpu_arch="x86", cores=2, ram=64,
@@ -81,14 +105,6 @@ def test_live_power_chain():
     assert live("c0", FS0, sys)
     # The sole power source is a single point of failure.
     assert not live("c0", frozenset({"ups"}), sys)
-
-
-def _reference_live(h, fs, sys):
-    """The recursive definition: unfailed, and internally powered or with
-    a live power source."""
-    power = sys.power_of(h)
-    return h not in fs and (
-        not power or any(_reference_live(p, fs, sys) for p in power))
 
 
 def test_live_with_shared_and_alternative_power_sources():
@@ -213,6 +229,83 @@ def test_avail_on_matches_brute_force_on_random_models():
                             == brute_avail_on(fn, c, cfg, fs, sys))
 
 
+def _consistent_failed_sets(sys, req):
+    hw = list(sys.computers) + list(sys.devices)
+    return [fs for k in range(len(hw) + 1)
+            for fs in map(frozenset, itertools.combinations(hw, k))
+            if consistent(fs, req.fm, sys)]
+
+
+def test_avail_and_live_match_the_references_on_every_failed_set():
+    """``avail`` asks each provider whether it serves some consumer; the
+    reference asks every computer.  Both are checked on every valid
+    configuration and every consistent failed set of small random models,
+    among them models in which a failed ``ups`` cuts a computer's power."""
+    rng = random.Random(25)
+    models = [small_random_model(rng, max_valid=400)[:2] for _ in range(40)]
+    models += [random_model(random.Random(seed)) for seed in POWER_SEEDS]
+    checked = unpowered = 0
+    for sys, req in models:
+        cfgs = all_valid_configs(sys)
+        if len(cfgs) > 400:
+            continue
+        checked += 1
+        fns = {s.fn for s in sys.software.values()}
+        for fs in _consistent_failed_sets(sys, req):
+            for h in list(sys.computers) + list(sys.devices):
+                assert live(h, fs, sys) == _reference_live(h, fs, sys)
+            unpowered += any(c not in fs and not live(c, fs, sys)
+                             for c in sys.computers)
+            for cfg in cfgs:
+                for crit in (fns, req.crit_fns):
+                    assert avail(crit, cfg, fs, sys) == all(
+                        any(brute_avail_on(fn, c, cfg, fs, sys)
+                            for c in sys.computers)
+                        for fn in crit), (cfg, fs, crit)
+    assert checked == len(models) - 1 and unpowered
+
+
+def test_liveness_memo_belongs_to_its_model():
+    """Two models with the same ids but different power graphs, asked
+    about one failed-set object, each answer from their own graph."""
+    def model(powered):
+        power = frozenset({"ups"}) if powered else frozenset()
+        return SystemModel(
+            hw=[Device(id="ups", device_type="power"),
+                Device(id="g0", device_type="gps", power=power),
+                Computer(id="c0", os="osA", cpu_arch="x86", cores=2,
+                         ram=64, power=power)],
+            sw=[], protocols=[], sync=True)
+
+    on_ups, internal = model(True), model(False)
+    fs = frozenset({"ups"})
+    for _ in range(2):
+        assert not live("c0", fs, on_ups)
+        assert not avail_dev("gps", "c0", fs, on_ups)
+        assert live("c0", fs, internal)
+        assert avail_dev("gps", "c0", fs, internal)
+
+
+def test_solve_looks_power_sources_up_once_per_failed_set():
+    """A solve on a 3,000-device power chain looks each component's power
+    sources up at most once per failed set: liveness is kept per model and
+    failed set, not walked again along the chain at every check."""
+    sys, req = model_from_dict(power_chain_model(3000))
+    lookups = 0
+    real_power_of = sys.power_of
+
+    def counted(h):
+        nonlocal lookups
+        lookups += 1
+        return real_power_of(h)
+
+    sys.power_of = counted
+    result = Synthesizer(sys, req).solve()
+    assert result.n_resilient_classes
+    n_hw = len(sys.computers) + len(sys.devices)
+    assert 0 < lookups <= n_hw * len(reachable_failed_sets(req, sys))
+
+
 def test_passive_quorum_does_not_require_live_primary():
     """Documented boundary: for passive replication the availability rule
     only consults the primary for the component's functionality and device
@@ -305,4 +398,6 @@ def test_solve_work_does_not_depend_on_the_hash_seed():
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         counts.add(int(proc.stdout))
-    assert len(counts) == 1, counts
+    # The count must be work done: ``avail`` asks providers directly, and
+    # the ``fc`` chain reaches ``avail_on`` through ``can_run``.
+    assert len(counts) == 1 and min(counts) > 0, counts

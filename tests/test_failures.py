@@ -233,9 +233,9 @@ def _nonempty_subsets(items):
 
 
 def test_remove_dead_is_its_argument_exactly_when_nothing_dies():
-    """The state-representative search keeps a configuration when
-    ``remove_dead`` returns it itself, and shares that answer among the
-    failed sets that fail the same computers."""
+    """The state-representative search keeps a class's fixed part when
+    ``remove_dead`` returns it itself.  Only failed computers kill
+    instances, so failed devices never change the answer."""
     rng = random.Random(17)
     seen = {"kept": 0, "dropped": 0, "with devices": 0}
     for _ in range(60):

@@ -42,8 +42,8 @@ from resilcfg import (
 from resilcfg import fixtures, modelio
 from resilcfg.oracle import all_valid_configs, naive_resilient
 from resilcfg.synthesis import QUOTIENT_MODES, PolicyEntry, ReplayError
-from conftest import (FS0, FS_C0, over_budget_root, random_model,
-                      reachable_failed_sets, tiny_config)
+from conftest import (FS0, FS_C0, POWER_SEEDS, over_budget_root,
+                      random_model, reachable_failed_sets, tiny_config)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -297,11 +297,6 @@ def test_a_relocatable_instance_leaves_a_computer_that_lost_power():
     entry = result.policy.entries[(on_c1, FS0, frozenset({"ups"}))]
     assert entry == PolicyEntry(on_c2, (Stop(SwInst("A", "c1")),
                                         Start(SwInst("A", "c2"))))
-
-
-# Random models in which a device ``ups`` powers a computer and devices may
-# fail; "full" found fewer resilient classes than the other modes on each.
-POWER_SEEDS = (7762, 9522, 9570, 9899, 14867, 16669, 19408, 23339, 24708)
 
 
 def test_quotient_modes_agree_when_a_computer_loses_power():
