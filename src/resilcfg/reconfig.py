@@ -4,10 +4,11 @@ direct characterization of the reconfiguration relation.
 ``_difference`` is the one statement of the relation's clauses: it maps
 each difference between a source and a target configuration to the action
 that produces it, or finds a difference that no action produces.
-``can_reconfigure`` asks it whether a target is reachable in one pass, and
-``derive_actions`` orders its actions into a witness sequence whose
-step-by-step application stays valid throughout.  The relation and the
-actions read what a host must provide from ``availability.can_run``.
+``can_reconfigure`` asks it whether a target is reachable in one pass;
+``derive_actions``, which the solver's successor scan calls alone, orders
+its actions into a witness sequence whose step-by-step application stays
+valid throughout.  The relation and the actions read what a host must
+provide from ``availability.can_run``.
 
 ``apply_action`` expects a valid source configuration and re-checks only
 what the action touches, so a valid source gives a valid result.  Its
@@ -94,15 +95,15 @@ def describe_action(a) -> str:
 
 
 def can_reconfigure(cfg: Config, target: Config, fs: FailedSet,
-                    sys: SystemModel,
-                    assume_target_valid: bool = False) -> bool:
+                    sys: SystemModel) -> bool:
     """The reconfiguration relation: the target is valid and every
     difference from ``cfg`` is producible by some action (``_difference``).
 
     Expects ``cfg`` to be free of dead instances (callers apply
-    ``remove_dead`` after a failure burst first).
+    ``remove_dead`` after a failure burst first).  The solver's successor
+    scan calls ``derive_actions`` alone, which evaluates the relation.
     """
-    if not assume_target_valid and not valid_config(target, sys):
+    if not valid_config(target, sys):
         return False
     return _difference(cfg, target, fs, sys) is not None
 
@@ -332,7 +333,8 @@ def derive_actions(cfg: Config, target: Config, fs: FailedSet,
     no ordering of the difference actions reaches the target: every action
     keeps the configuration valid, so an invalid target is never reached,
     and interlocking replica-membership changes can deadlock (e.g. two
-    replica sets swapping hosts with no spare capacity anywhere).
+    replica sets swapping hosts with no spare capacity anywhere).  So the
+    solver's successor scan calls it alone as its relation check.
     """
     pending = _difference(cfg, target, fs, sys)
     if pending is None:

@@ -48,17 +48,17 @@ from .reconfig import (
     ActionRejected,
     NoWitnessError,
     apply_action,
-    can_reconfigure,
     derive_actions,
 )
 from .enumeration import (
     QuotientClass, ResilienceRequirement, enumerate_classes)
 from .quotient import signature
-# These three are not called here, but the benchmark's layer tracer
+# These four are not called here, but the benchmark's layer tracer
 # (``perfbench/tracer.py``) patches these names in this module.
 from .enumeration import (  # noqa: F401
     generate_all_configs, generate_init_configs)
 from .quotient import partition_members  # noqa: F401
+from .reconfig import can_reconfigure  # noqa: F401
 
 QUOTIENT_MODES = ("off", "partial", "full")
 
@@ -365,12 +365,11 @@ class Synthesizer:
         and only nodes the source can reach are candidates.  Per
         candidate, the source-independent resilience verdict (memoized and
         shared by every state that explores this failed set) is checked
-        before the source-specific reconfiguration relation; dead-end states
-        then cost almost nothing beyond the failed verdicts already paid
-        for.  A relation hit must also admit a concrete witness sequence:
-        with several interlocking membership changes the relation alone can
-        accept a target no action ordering realizes, and emitted policies
-        must replay."""
+        first; dead-end states then cost almost nothing beyond the failed
+        verdicts already paid for.  The witness search then evaluates the
+        source-specific reconfiguration relation once and also rejects a
+        target whose difference actions deadlock in every ordering, as
+        interlocking membership changes can, so emitted policies replay."""
         ctx = self._context(fs2)
         src = remove_dead(cfg, fs2, self.sys)
         key = (src, recursive)
@@ -383,9 +382,6 @@ class Synthesizer:
                 if not self.resilient_node(node2, fs2):
                     continue
             elif not avail(self.req.crit_fns, cfg2, fs2, self.sys):
-                continue
-            if not can_reconfigure(src, cfg2, fs2, self.sys,
-                                   assume_target_valid=True):
                 continue
             try:
                 actions = derive_actions(src, cfg2, fs2, self.sys)

@@ -39,7 +39,7 @@ from resilcfg import (
     verify_policy,
     worst_burst_schedules,
 )
-from resilcfg import fixtures, modelio
+from resilcfg import fixtures, modelio, reconfig, synthesis
 from resilcfg.oracle import all_valid_configs, naive_resilient
 from resilcfg.synthesis import QUOTIENT_MODES, PolicyEntry, ReplayError
 from conftest import (FS0, FS_C0, POWER_SEEDS, over_budget_root,
@@ -190,6 +190,32 @@ def test_memo_determinism(tiny_sys, tiny_req):
     assert [s for s, _, _ in a.resilient] == [s for s, _, _ in b.resilient]
     assert a.policy.entries == b.policy.entries
     assert a.policy.roots == b.policy.roots
+
+
+def test_the_successor_scan_evaluates_the_relation_once_per_candidate(
+        monkeypatch):
+    """The witness search is the scan's relation check: every evaluation
+    of ``reconfig._difference`` during a solve comes from one
+    ``derive_actions`` call, and no candidate is checked twice."""
+    calls = {"difference": 0, "derive": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reconfig, "_difference",
+                        counted("difference", reconfig._difference))
+    monkeypatch.setattr(synthesis, "derive_actions",
+                        counted("derive", synthesis.derive_actions))
+    models = [fixtures.autonomous_driving_laptop(2),
+              fixtures.autonomous_driving_phone(3)]
+    models += [random_model(random.Random(seed)) for seed in POWER_SEEDS[:3]]
+    for sys, req in models:
+        Synthesizer(sys, req).solve()
+    assert calls["derive"] > 0
+    assert calls["difference"] == calls["derive"]
 
 
 def test_policies_replay_on_random_models():
